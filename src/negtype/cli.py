@@ -30,15 +30,12 @@ from .metric import (
     ultrametric_from_graph,
     validate_metric,
 )
+from .ultrametric import _fmt
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
 EXIT_NOT_NEGATIVE_TYPE = 2
 EXIT_TOLERANCE_FAILURE = 3
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _load_matrix_space(path: str) -> FiniteMetricSpace:

@@ -20,10 +20,9 @@ independent projected-descent oracle as a cross-check.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from math import inf
 
 import numpy as np
@@ -40,7 +39,8 @@ from .metric import PDistanceMatrix, is_ultrametric
 
 DEFAULT_ENUMERATION_CAP = 24
 
-_CHUNK_BITS = 15  # sign vectors are enumerated in chunks of 2**_CHUNK_BITS
+_LOW_BITS = 14  # signs in the low block of the sign enumeration
+_BLOCK_ENTRIES = 1 << 17  # values (1 MB) per enumeration block
 
 
 class Classification(Enum):
@@ -142,7 +142,7 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
         b = spectral.refined_solve(entries, np.ones(n))
         b_dot_one = float(b.sum())
         if not b_dot_one > 0:
-            raise ToleranceFailure("ultrametric solve produced a nonpositive (b | 1)")
+            raise ToleranceFailure(f"ultrametric (b | 1) = {b_dot_one:.3g} is not above 0")
         u_p = b / b_dot_one
         m_p = 1.0 / b_dot_one
         _check_u_p(entries, u_p, m_p)
@@ -238,11 +238,12 @@ def _not_negative_type(entries, lam_penult, lam_max, ztol, b=None, b_dot_one=Non
 
 
 def _check_u_p(entries: np.ndarray, u_p: np.ndarray, m_p: float) -> None:
-    scale = max(abs(m_p), 1e-300)
-    if float(np.abs(entries @ u_p - m_p).max()) > 1e-8 * scale:
-        raise ToleranceFailure("u_p residual exceeds 1e-8 relative")
+    residual = float(np.abs(entries @ u_p - m_p).max())
+    limit = 1e-8 * max(abs(m_p), 1e-300)
+    if residual > limit:
+        raise ToleranceFailure(f"u_p residual {residual:.3g} exceeds limit {limit:.3g}")
     if abs(float(u_p.sum()) - 1.0) > 1e-10:
-        raise ToleranceFailure("u_p does not lie on the sum-one hyperplane")
+        raise ToleranceFailure(f"u_p sums to {u_p.sum():.17g}, off 1 by more than limit 1e-10")
 
 
 def m_constant(dp: PDistanceMatrix, cert: NegTypeCertificate | None = None) -> float:
@@ -268,57 +269,91 @@ def hat_matrix(dp: PDistanceMatrix, cert: NegTypeCertificate | None = None) -> n
     b = cert.b if cert.b is not None else spectral.refined_solve(dp.entries, np.ones(dp.n))
     hat = np.outer(b, b) / b.sum() - inv
     hat = 0.5 * (hat + hat.T)
-    scale = max(float(np.abs(hat).max()), 1e-300)
-    if float(np.abs(hat @ np.ones(dp.n)).max()) > 1e-8 * scale * dp.n:
-        raise ToleranceFailure("hat matrix does not annihilate the all-ones vector")
+    residual = float(np.abs(hat @ np.ones(dp.n)).max())
+    limit = 1e-8 * max(float(np.abs(hat).max()), 1e-300) * dp.n
+    if residual > limit:
+        raise ToleranceFailure(f"hat row-sum residual {residual:.3g} exceeds limit {limit:.3g}")
     return hat
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        env = os.environ.get("NEGTYPE_THREADS", "").strip()
-        if not env:
-            return 1
-        threads = int(env)
-    if threads == 0:
-        return os.cpu_count() or 1
-    return max(1, threads)
-
-
-def _sign_chunk(hat: np.ndarray, start: int, stop: int) -> tuple[float, int]:
-    """Max of (hat z | z) over canonical sign vectors numbered [start, stop)."""
-    n = hat.shape[0]
-    ks = np.arange(start, stop, dtype=np.uint64)
-    shifts = np.arange(n - 2, -1, -1, dtype=np.uint64)  # first coordinate is the MSB
-    bits = (ks[:, None] >> shifts[None, :]) & np.uint64(1)
-    z = np.empty((len(ks), n))
-    z[:, 0] = 1.0
-    z[:, 1:] = 1.0 - 2.0 * bits.astype(np.float64)
-    values = ((z @ hat) * z).sum(axis=1)
-    best = float(values.max())
-    ties = np.flatnonzero(values == best)
-    return best, start + int(ties[-1])
-
-
-def _z_from_index(n: int, k: int) -> np.ndarray:
-    z = np.ones(n)
-    for j in range(n - 1):
-        if (k >> (n - 2 - j)) & 1:
-            z[j + 1] = -1.0
+@cache
+def _sign_patterns(m: int) -> np.ndarray:
+    """All 2**m sign vectors as read-only columns: z_c = -1 where bit m-1-c is set."""
+    z = 1.0 - 2.0 * ((np.arange(1 << m) >> np.arange(m - 1, -1, -1)[:, None]) & 1)
+    z.flags.writeable = False
     return z
+
+
+def _sign_sums(weights: np.ndarray, base=0.0) -> np.ndarray:
+    """``base + weights @ z`` over the columns z of _sign_patterns(weights.shape[1]).
+
+    One small product covers the last (up to 8) coordinates; each earlier one
+    doubles the columns, so no large, BLAS-threaded product is involved.
+    """
+    m = weights.shape[1]
+    seed = min(m, 8)
+    out = np.empty((weights.shape[0], 1 << m))
+    out[:, : 1 << seed] = weights[:, m - seed :] @ _sign_patterns(seed) + base
+    for c in range(m - seed - 1, -1, -1):
+        width = 1 << (m - 1 - c)
+        np.subtract(out[:, :width], weights[:, c, None], out=out[:, width : 2 * width])
+        out[:, :width] += weights[:, c, None]
+    return out
+
+
+def _sign_maximum(
+    hat: np.ndarray, low_bits: int = _LOW_BITS, block_entries: int = _BLOCK_ENTRIES
+) -> tuple[np.ndarray, float]:
+    """The sign vector z (first sign +1) maximizing (hat z | z), and that value.
+
+    Vector k = (i << b) + j joins high pattern i over the first h = n - b
+    coordinates to low pattern j over the last b = min(low_bits, n - 1):
+    Q = qH[i] + qL[j] + (C[i] | zL[j]) with C = 2 zH hat[:h, h:], in blocks of
+    at most ``block_entries`` values. Values within 4 n eps sum|hat_ij| of
+    the maximum (a bound on the rounding gap between two summation orders)
+    tie; the lexicographically smallest tied vector (the largest k) wins.
+    """
+    n = hat.shape[0]
+    b = min(low_bits, n - 1)
+    h = n - b
+    z_low, z_high = _sign_patterns(b), _sign_patterns(h)[:, : 1 << (h - 1)]
+    q_high = ((hat[:h, :h] @ z_high) * z_high).sum(axis=0)
+    cross = 2.0 * (z_high.T @ hat[:h, h:])
+    tol = 4.0 * n * np.finfo(np.float64).eps * float(np.abs(hat).sum())
+    if h == 1:  # the lone high pattern joins the low table, which then holds every value
+        values = q_high[0] + (z_low * _sign_sums(hat[1:, 1:], cross[0, :, None])).sum(axis=0)
+        k = int(np.flatnonzero(values >= values.max() - tol)[-1])
+    else:
+        q_low = (z_low * _sign_sums(hat[h:, h:])).sum(axis=0)
+        rows, best, found = max(1, block_entries >> b), -inf, []
+        for start in range(0, len(q_high), rows):
+            block = _sign_sums(cross[start : start + rows], q_high[start : start + rows, None])
+            block += q_low
+            top = float(block.max())
+            if top >= best - tol:
+                best = max(best, top)
+                cand = np.flatnonzero(block >= best - tol)
+                vals = block.ravel()[cand]
+                # keep vectors worth more than all later ones, which win every tie with them
+                keep = np.append(vals[:-1] > np.maximum.accumulate(vals[:0:-1])[::-1], True)
+                found.append(((start << b) + cand[keep], vals[keep]))
+        ks, vs = (np.concatenate(part) for part in zip(*found))
+        k = int(ks[vs >= best - tol][-1])
+    z_star = np.concatenate([z_high[:, k >> b], z_low[:, k & ((1 << b) - 1)]])
+    return z_star, float(z_star @ hat @ z_star)
 
 
 def gap_exact(
     dp: PDistanceMatrix,
     cap: int = DEFAULT_ENUMERATION_CAP,
     cert: NegTypeCertificate | None = None,
-    threads: int | None = None,
 ) -> GapResult:
     """Exact gap by exhaustive sign-vector maximization.
 
-    Fixing the first sign to +1 halves the search (z and -z give equal
-    values). Ties are broken toward the lexicographically smallest sign
-    vector, independently of chunking or thread count. Non-strict spaces of
+    The first sign is fixed to +1 (z and -z give equal values) and the rest
+    meets in the middle; ties within 4 n eps sum|hat_ij| go to the
+    lexicographically smallest vector, at which beta is evaluated, so no
+    result depends on the blocking (see _sign_maximum). Non-strict spaces of
     negative type report exactly 0; single points are unbounded.
     """
     if cert is None:
@@ -333,27 +368,13 @@ def gap_exact(
     if n > cap:
         raise TooManyPoints(n, cap)
 
-    hat = hat_matrix(dp, cert)
-    total = 1 << (n - 1)
-    chunk = 1 << _CHUNK_BITS
-    ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-    workers = _thread_count(threads)
-    if workers > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda r: _sign_chunk(hat, *r), ranges))
-    else:
-        results = [_sign_chunk(hat, *r) for r in ranges]
-
-    best, best_k = results[0]
-    for value, k in results[1:]:
-        if value > best or (value == best and k > best_k):
-            best, best_k = value, k
-    if not best > 0:
-        raise ToleranceFailure("sign maximization returned a nonpositive maximum on a strict space")
+    z_star, beta = _sign_maximum(hat_matrix(dp, cert))
+    if not beta > 0:
+        raise ToleranceFailure(f"sign maximum {beta:.3g} on a strict space is not above 0")
     return GapResult(
-        gamma=2.0 / best,
-        beta=best,
-        z_star=_z_from_index(n, best_k),
+        gamma=2.0 / beta,
+        beta=beta,
+        z_star=z_star,
         method=GapMethod.SIGN_ENUMERATION,
     )
 

@@ -23,7 +23,9 @@ from negtype import (
     solve_sym,
     validate_metric,
 )
-from negtype.errors import NotInF0, NotNegativeType, NotStrict, TooManyPoints
+from negtype import spectral
+from negtype.errors import NotInF0, NotNegativeType, NotStrict, ToleranceFailure, TooManyPoints
+from negtype.gap import _sign_maximum
 
 
 def dp_of(space, p=1.0):
@@ -119,6 +121,20 @@ class TestCertify:
             assert cert.lambda_penultimate < -cert.zero_tol
             assert cert.lambda_max > cert.zero_tol
             assert cert.b_dot_one > cert.zero_tol
+
+    def test_tolerance_failure_states_value_and_limit(self, example78, monkeypatch):
+        solve = spectral.refined_solve
+        monkeypatch.setattr(
+            spectral, "refined_solve", lambda a, rhs: solve(a, rhs) * (1 + 1e-4 * np.arange(len(rhs)))
+        )
+        dp = dp_of(example78)
+        b = spectral.refined_solve(dp.entries, np.ones(dp.n))
+        m_p = 1.0 / b.sum()
+        residual = np.abs(dp.entries @ (b / b.sum()) - m_p).max()
+        with pytest.raises(ToleranceFailure) as info:
+            certify(dp)
+        assert f"{residual:.3g}" in str(info.value)
+        assert f"{1e-8 * m_p:.3g}" in str(info.value)
 
     def test_m_p_upper_bound_over_sum_one_vectors(self, example78):
         rng = np.random.default_rng(5)
@@ -245,12 +261,36 @@ class TestGapExact:
                 attained = True
         assert attained
 
-    def test_threads_agree_with_serial(self, example78):
-        dp = dp_of(example78)
-        serial = gap_exact(dp, threads=1)
-        threaded = gap_exact(dp, threads=4)
-        assert serial.gamma == threaded.gamma
-        assert np.array_equal(serial.z_star, threaded.z_star)
+    @pytest.mark.parametrize("n", [17, 18])
+    @pytest.mark.parametrize("make_space", [random_euclidean, random_ultrametric])
+    def test_matches_brute_force(self, n, make_space):
+        dp = dp_of(make_space(np.random.default_rng(n), n))
+        result = gap_exact(dp)
+        hat = hat_matrix(dp)
+        # every sign vector with first sign +1, in lexicographic order (-1 < +1)
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n - 1)))
+        z = np.hstack([np.ones((len(signs), 1)), signs])
+        values = ((z @ hat) * z).sum(axis=1)
+        tol = 4 * n * np.finfo(float).eps * np.abs(hat).sum()
+        first_tied = int(np.flatnonzero(values >= values.max() - tol)[0])
+        assert result.beta == pytest.approx(values.max(), rel=1e-12)
+        assert np.array_equal(result.z_star, z[first_tied])
+
+    def test_blocking_does_not_change_result(self, example78):
+        hat78 = hat_matrix(dp_of(example78))
+        z = np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=6)])
+        values = ((z @ hat78) * z).sum(axis=1)
+        assert np.count_nonzero(values >= values.max() * (1 - 1e-12)) == 8
+
+        rng = np.random.default_rng(31)
+        others = (random_ultrametric(rng, 12), random_euclidean(rng, 13))
+        for hat in [hat78] + [hat_matrix(dp_of(space)) for space in others]:
+            reference = _sign_maximum(hat)
+            for low_bits in (1, 5, 14):
+                for rows in (1, 3, 1 << 19):
+                    z_star, beta = _sign_maximum(hat, low_bits, rows << low_bits)
+                    assert np.array_equal(z_star, reference[0])
+                    assert beta == reference[1]
 
     def test_frozen_rational_oracle_values(self, example78):
         # expected values computed once with exact fraction arithmetic
