@@ -60,16 +60,17 @@ class NegTypeCertificate:
     """Spectral and solvability evidence for the type classification."""
 
     classification: Classification
-    lambda_penultimate: float | None
-    lambda_max: float | None
-    b: np.ndarray | None
-    b_dot_one: float | None
     m_p: float
-    m_p_reason: str | None
-    u_p: np.ndarray | None
-    witness: np.ndarray | None
-    boundary_warning: bool
     zero_tol: float
+    eigenvalues: np.ndarray  # ascending spectrum of D_p
+    lambda_penultimate: float | None = None
+    lambda_max: float | None = None
+    b: np.ndarray | None = None
+    b_dot_one: float | None = None
+    m_p_reason: str | None = None
+    u_p: np.ndarray | None = None
+    witness: np.ndarray | None = None
+    boundary_warning: bool = False
 
     @property
     def strict(self) -> bool:
@@ -119,16 +120,10 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
     if n == 1:
         return NegTypeCertificate(
             classification=Classification.STRICT_NEGATIVE_TYPE,
-            lambda_penultimate=None,
-            lambda_max=None,
-            b=None,
-            b_dot_one=None,
             m_p=0.0,
-            m_p_reason=None,
             u_p=np.ones(1),
-            witness=None,
-            boundary_warning=False,
             zero_tol=spectral.zero_tolerance(0.0),
+            eigenvalues=np.zeros(1),
         )
 
     entries = dp.entries
@@ -143,26 +138,11 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
         b_dot_one = float(b.sum())
         if not b_dot_one > 0:
             raise ToleranceFailure(f"ultrametric (b | 1) = {b_dot_one:.3g} is not above 0")
-        u_p = b / b_dot_one
-        m_p = 1.0 / b_dot_one
-        _check_u_p(entries, u_p, m_p)
-        return NegTypeCertificate(
-            classification=Classification.STRICT_NEGATIVE_TYPE,
-            lambda_penultimate=lam_penult,
-            lambda_max=lam_max,
-            b=b,
-            b_dot_one=b_dot_one,
-            m_p=m_p,
-            m_p_reason=None,
-            u_p=u_p,
-            witness=None,
-            boundary_warning=False,
-            zero_tol=ztol,
-        )
+        return _strict(entries, lam, ztol, b, b_dot_one)
 
     if not (lam_max > ztol and lam_penult <= ztol):
         # more than one significantly positive eigenvalue (or none)
-        return _not_negative_type(entries, lam_penult, lam_max, ztol)
+        return _not_negative_type(entries, lam, ztol)
 
     nonsingular = bool(np.abs(lam).min() > ztol)
     if nonsingular:
@@ -174,30 +154,15 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
         residual_ok = result.residual <= ztol * np.sqrt(n)
     if not residual_ok:
         # 1 is not in the range of D_p, so no valid b exists
-        return _not_negative_type(entries, lam_penult, lam_max, ztol)
+        return _not_negative_type(entries, lam, ztol)
     b_dot_one = float(b.sum())
 
     if b_dot_one < -ztol:
-        return _not_negative_type(entries, lam_penult, lam_max, ztol, b=b, b_dot_one=b_dot_one)
+        return _not_negative_type(entries, lam, ztol, b=b, b_dot_one=b_dot_one)
 
     strict_spectrum = lam_penult < -ztol and nonsingular
     if strict_spectrum and b_dot_one > ztol:
-        u_p = b / b_dot_one
-        m_p = 1.0 / b_dot_one
-        _check_u_p(entries, u_p, m_p)
-        return NegTypeCertificate(
-            classification=Classification.STRICT_NEGATIVE_TYPE,
-            lambda_penultimate=lam_penult,
-            lambda_max=lam_max,
-            b=b,
-            b_dot_one=b_dot_one,
-            m_p=m_p,
-            m_p_reason=None,
-            u_p=u_p,
-            witness=None,
-            boundary_warning=False,
-            zero_tol=ztol,
-        )
+        return _strict(entries, lam, ztol, b, b_dot_one)
 
     # Negative type but not certifiably strict. Near-zero (b | 1) is the
     # conservative boundary case; M_p is infinite exactly when (b | 1) ~ 0.
@@ -214,26 +179,41 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
         b_dot_one=b_dot_one,
         m_p=m_p,
         m_p_reason=reason,
-        u_p=None,
-        witness=None,
         boundary_warning=boundary,
         zero_tol=ztol,
+        eigenvalues=lam,
     )
 
 
-def _not_negative_type(entries, lam_penult, lam_max, ztol, b=None, b_dot_one=None):
+def _strict(entries, lam, ztol, b, b_dot_one):
+    u_p = b / b_dot_one
+    m_p = 1.0 / b_dot_one
+    _check_u_p(entries, u_p, m_p)
+    return NegTypeCertificate(
+        classification=Classification.STRICT_NEGATIVE_TYPE,
+        lambda_penultimate=float(lam[-2]),
+        lambda_max=float(lam[-1]),
+        b=b,
+        b_dot_one=b_dot_one,
+        m_p=m_p,
+        u_p=u_p,
+        zero_tol=ztol,
+        eigenvalues=lam,
+    )
+
+
+def _not_negative_type(entries, lam, ztol, b=None, b_dot_one=None):
     return NegTypeCertificate(
         classification=Classification.NOT_NEGATIVE_TYPE,
-        lambda_penultimate=lam_penult,
-        lambda_max=lam_max,
+        lambda_penultimate=float(lam[-2]),
+        lambda_max=float(lam[-1]),
         b=b,
         b_dot_one=b_dot_one,
         m_p=inf,
         m_p_reason="not of p-negative type",
-        u_p=None,
         witness=_f0_witness(entries),
-        boundary_warning=False,
         zero_tol=ztol,
+        eigenvalues=lam,
     )
 
 
@@ -265,7 +245,7 @@ def hat_matrix(dp: PDistanceMatrix, cert: NegTypeCertificate | None = None) -> n
         raise NotStrict("hat matrix is defined only for strict p-negative type")
     if dp.n == 1:
         return np.zeros((1, 1))
-    inv = spectral.refined_inverse(dp.entries)
+    inv = spectral.refined_solve(dp.entries, np.eye(dp.n))
     b = cert.b if cert.b is not None else spectral.refined_solve(dp.entries, np.ones(dp.n))
     hat = np.outer(b, b) / b.sum() - inv
     hat = 0.5 * (hat + hat.T)

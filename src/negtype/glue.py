@@ -23,7 +23,7 @@ from .errors import (
     LabelCollision,
 )
 from .metric import FiniteMetricSpace, PDistanceMatrix, p_distance_matrix, validate_metric
-from .spectral import refined_inverse, refined_solve
+from .spectral import refined_solve
 
 
 def _diameter(space: FiniteMetricSpace) -> float:
@@ -169,8 +169,8 @@ def glued_inverse(
     if n == 1:
         return _bordered_inverse(dp2.entries, cp, flip=True)
 
-    inv1 = refined_inverse(dp1.entries)
-    inv2 = refined_inverse(dp2.entries)
+    inv1 = refined_solve(dp1.entries, np.eye(n))
+    inv2 = refined_solve(dp2.entries, np.eye(m))
     x1 = refined_solve(dp1.entries, np.ones(n))
     x2 = refined_solve(dp2.entries, np.ones(m))
     s1, s2 = float(x1.sum()), float(x2.sum())
@@ -189,7 +189,7 @@ def glued_inverse(
 def _bordered_inverse(a: np.ndarray, cp: float, flip: bool) -> np.ndarray:
     """Inverse of [[A, cp*1], [cp*1^T, 0]]; ``flip`` puts the point first."""
     n = a.shape[0]
-    inv = refined_inverse(a)
+    inv = refined_solve(a, np.eye(n))
     x = refined_solve(a, np.ones(n))
     s = float(x.sum())
     out = np.empty((n + 1, n + 1))

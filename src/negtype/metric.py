@@ -3,12 +3,17 @@
 Distances are stored as float64. Validation tolerances are relative to the
 diameter so that exact (integer-valued) inputs never produce false rejections
 while file-parsed decimals survive round-off.
+
+Ultrametric structure comes from one O(n^2) minimum spanning tree pass,
+``_spanning_tree``, and its single linkage, ``_ball_tree``; the
+strong-triangle test, the graph minimax distances, the decomposition and the
+coteries all read from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,12 +121,15 @@ def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
 
     if n >= 3:
         tol = METRIC_RTOL * float(d.max())
-        # d[i,j] <= d[i,k] + d[k,j] for all triples, vectorized over k
-        slack = d[:, None, :] + d.T[None, :, :] - d[:, :, None]  # (i, j, k)
-        viol = np.argwhere(slack < -tol)
-        if viol.size:
-            i, j, k = map(int, viol[0])
-            raise TriangleViolation(i, j, k)
+        # d[i,j] <= d[i,k] + d[k,j] for all triples, vectorized over (j, k) for
+        # a block of rows i; d is exactly symmetric here, so d[k,j] == d[j,k].
+        rows = max(1, (1 << 17) // (n * n))  # blocks of at most 1 MB
+        for start in range(0, n, rows):
+            block = d[start : start + rows]
+            slack = block[:, None, :] + d[None, :, :] - block[:, :, None]  # (i, j, k)
+            if slack.min() < -tol:
+                i, j, k = map(int, np.argwhere(slack < -tol)[0])
+                raise TriangleViolation(start + i, j, k)
 
     return FiniteMetricSpace(labels=labels, dist=_freeze(d), n=n)
 
@@ -158,13 +166,78 @@ def scale_space(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
 
 
 def is_ultrametric(space: FiniteMetricSpace) -> bool:
-    """Whether d(x, y) <= max(d(x, z), d(z, y)) holds for all triples."""
+    """Whether d exceeds its subdominant ultrametric nowhere by more than
+    ``METRIC_RTOL * diameter``, which implies d(x, y) <= max(d(x, z), d(z, y))
+    with that slack on every triple."""
+    _, excess, limit = _ultrametric_excess(space)
+    return excess <= limit
+
+
+class Ball(NamedTuple):
+    """Points joined at ``height``; children are the maximal balls strictly
+    below it, in order (balls compare by their sorted, disjoint members)."""
+
+    members: tuple[int, ...]
+    height: float
+    children: tuple["Ball", ...]
+
+
+def _spanning_tree(w: np.ndarray) -> tuple[list[tuple[float, int, int]], np.ndarray]:
+    """Minimum spanning tree and subdominant (minimax) ultrametric of weights.
+
+    ``w`` is symmetric, ``inf`` means no edge, the diagonal is ignored, and
+    the graph must be connected. A dense Prim pass lists the tree edges as
+    ``(weight, parent, vertex)``; the minimax row of each vertex it reaches is
+    the larger of its tree edge and its parent's row. The subdominant matrix
+    has a zero diagonal and off it only copies entries of ``w``. O(n^2).
+    """
+    n = w.shape[0]
+    sub = np.full((n, n), -np.inf)  # -inf, not 0: weights may be negative
+    todo = np.array(w, dtype=np.float64)  # weights into the vertices not yet reached
+    todo[:, 0] = np.inf
+    key = todo[0].copy()
+    parent = np.zeros(n, dtype=np.intp)
+    edges: list[tuple[float, int, int]] = []
+    for _ in range(n - 1):
+        v = int(key.argmin())
+        h, p = float(key[v]), int(parent[v])
+        np.maximum(sub[p], h, out=sub[v])  # exact on reached columns; later rows overwrite the rest
+        sub[:, v] = sub[v]
+        sub[v, v] = -np.inf
+        edges.append((h, p, v))
+        todo[:, v] = np.inf
+        key[v] = np.inf
+        parent[todo[v] < key] = v
+        np.minimum(key, todo[v], out=key)
+    np.fill_diagonal(sub, 0.0)
+    return edges, sub
+
+
+def _ball_tree(n: int, edges: list[tuple[float, int, int]]) -> Ball:
+    """Single-linkage ball tree of the points 0..n-1 joined by spanning tree edges.
+
+    Edges merge in ascending order; a merge at the height of a component's
+    ball takes over its children instead of nesting it, so merges at exactly
+    equal heights form one node.
+    """
+    up = list(range(n))
+    top = [Ball((i,), 0.0, ()) for i in range(n)]  # the ball of each root
+    for h, p, v in sorted(edges):
+        a, b = _find(up, p), _find(up, v)
+        parts: tuple[Ball, ...] = ()
+        for ball in (top[a], top[b]):
+            parts += ball.children if ball.children and ball.height == h else (ball,)
+        up[a] = b
+        top[b] = Ball(tuple(sorted(top[a].members + top[b].members)), h, tuple(sorted(parts)))
+    return top[_find(up, 0)]
+
+
+def _ultrametric_excess(space: FiniteMetricSpace) -> tuple[list, float, float]:
+    """Spanning tree edges of the space, the largest excess of d over its
+    subdominant ultrametric, and the limit ``METRIC_RTOL * diameter`` on it."""
     d = space.dist
-    if space.n < 3:
-        return True
-    tol = METRIC_RTOL * float(d.max())
-    peaks = np.maximum(d[:, None, :], d.T[None, :, :])  # (i, j, k)
-    return bool((peaks >= d[:, :, None] - tol).all())
+    edges, sub = _spanning_tree(d)
+    return edges, float((d - sub).max()), METRIC_RTOL * float(d.max())
 
 
 def space_stats(space: FiniteMetricSpace) -> SpaceStats:
@@ -212,82 +285,46 @@ def build_graph(
 
 def _count_components(vertices: list[str], edges: list[tuple[str, str, float]]) -> int:
     index = {v: i for i, v in enumerate(vertices)}
-    parent = list(range(len(vertices)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    up = list(range(len(vertices)))
     comps = len(vertices)
     for u, v, _ in edges:
-        ru, rv = find(index[u]), find(index[v])
+        ru, rv = _find(up, index[u]), _find(up, index[v])
         if ru != rv:
-            parent[ru] = rv
+            up[ru] = rv
             comps -= 1
     return comps
+
+
+def _find(up: list[int], a: int) -> int:
+    """Root of ``a`` in the union-find forest ``up``, halving the path."""
+    while up[a] != a:
+        up[a] = up[up[a]]
+        a = up[a]
+    return a
 
 
 def ultrametric_from_graph(graph: WeightedGraph) -> FiniteMetricSpace:
     """Minimax-path distances of a connected weighted graph.
 
     d(u, v) is the minimum over all walks joining u and v of the largest edge
-    weight on the walk. It is computed on a minimum spanning tree, whose
-    unique paths realize the minimax values; the result is an ultrametric.
+    weight on the walk: the subdominant ultrametric of the matrix of lightest
+    edge weights, read along its minimum spanning tree.
     """
     if not graph.connected:
         raise DisconnectedGraph("minimax distances need a connected graph")
     n = len(graph.vertices)
     index = {v: i for i, v in enumerate(graph.vertices)}
-    if n == 1:
-        return validate_metric(graph.vertices, np.zeros((1, 1)))
-
-    # Kruskal with a deterministic ordering.
-    ranked = sorted(
-        graph.edges, key=lambda e: (e[2], index[e[0]], index[e[1]])
-    )
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    tree: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    used = 0
-    for u, v, w in ranked:
-        iu, iv = index[u], index[v]
-        ru, rv = find(iu), find(iv)
-        if ru == rv:
-            continue
-        parent[ru] = rv
-        tree[iu].append((iv, w))
-        tree[iv].append((iu, w))
-        used += 1
-        if used == n - 1:
-            break
-
-    d = np.zeros((n, n))
-    for s in range(n):
-        # DFS from s carrying the running maximum edge weight.
-        stack = [(s, 0.0)]
-        seen = {s}
-        while stack:
-            node, peak = stack.pop()
-            for nbr, w in tree[node]:
-                if nbr in seen:
-                    continue
-                seen.add(nbr)
-                top = w if w > peak else peak
-                d[s, nbr] = top
-                stack.append((nbr, top))
-
-    d = np.maximum(d, d.T)  # DFS fills each row; enforce exact symmetry
-    space = validate_metric(graph.vertices, d)
-    if not is_ultrametric(space):
-        raise ToleranceFailure("minimax distances failed the ultrametric check")
+    w = np.full((n, n), np.inf)
+    for u, v, weight in graph.edges:
+        i, j = index[u], index[v]
+        w[i, j] = w[j, i] = min(weight, w[i, j])
+    space = validate_metric(graph.vertices, _spanning_tree(w)[1])
+    _, excess, limit = _ultrametric_excess(space)
+    if excess > limit:
+        raise ToleranceFailure(
+            f"minimax distances exceed their subdominant ultrametric by {excess:.3g},"
+            f" limit {limit:.3g}"
+        )
     return space
 
 

@@ -91,20 +91,6 @@ def refined_solve(a: np.ndarray, rhs: np.ndarray, sweeps: int = _REFINE_SWEEPS) 
     return x
 
 
-def refined_inverse(a: np.ndarray, sweeps: int = _REFINE_SWEEPS) -> np.ndarray:
-    """Explicit inverse via LU with iterative refinement on each column block."""
-    n = a.shape[0]
-    eye = np.eye(n)
-    lu = lu_factor(a)
-    x = lu_solve(lu, eye)
-    for _ in range(sweeps):
-        r = eye - a @ x
-        if not np.abs(r).any():
-            break
-        x = x + lu_solve(lu, r)
-    return x
-
-
 def solve_sym(a, rhs) -> SolveResult:
     """Least-residual solution of a symmetric system.
 

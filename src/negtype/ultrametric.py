@@ -4,7 +4,9 @@ An ultrametric space of diameter D splits into two nonempty parts with all
 cross-distances equal to D; recursing yields a tree whose leaf blocks have
 an exact closed-form gap. Walking the tree accumulates two-sided bounds on
 the reciprocal gap, and the minimum-distance clusters (coteries) determine
-the large-exponent limit of the normalized gap.
+the large-exponent limit of the normalized gap. The decomposition, the
+coteries and the strictly-ultrametric matrix test all read the one minimum
+spanning tree and ball tree built by ``negtype.metric``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .bounds import gamma_discrete
 from .errors import NegativeEntry, NotSymmetric, NotUltrametric, SinglePoint
-from .metric import FiniteMetricSpace, is_ultrametric
+from .metric import Ball, FiniteMetricSpace, _ball_tree, _spanning_tree, _ultrametric_excess
 from .spectral import refined_solve
 
 
@@ -23,7 +25,9 @@ def strictly_ultrametric_check(a) -> bool:
     """Whether every entry dominates the min over detours and the diagonal
     strictly dominates its row.
 
-    Comparisons are exact; inputs are constructed, not parsed.
+    Off the diagonal the first condition says that ``-a`` is an ultrametric,
+    i.e. equals its subdominant ultrametric. That matrix only copies entries,
+    so the comparison is exact; inputs are constructed, not parsed.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -33,8 +37,9 @@ def strictly_ultrametric_check(a) -> bool:
         raise NotSymmetric("matrix is not exactly symmetric")
     if (a < 0).any():
         raise NegativeEntry("matrix has a negative entry")
-    detours = np.minimum(a[:, None, :], a.T[None, :, :])  # [i, j, k] -> min(a[i,k], a[k,j])
-    if not (a[:, :, None] >= detours).all():
+    w = -a
+    np.fill_diagonal(w, 0.0)
+    if not (_spanning_tree(w)[1] == w).all():
         return False
     off_max = np.where(np.eye(n, dtype=bool), -np.inf, a).max(axis=1)
     return bool((np.diag(a) > off_max).all())
@@ -74,56 +79,42 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _require_ultrametric(space: FiniteMetricSpace) -> None:
-    if not is_ultrametric(space):
-        raise NotUltrametric("the space does not satisfy the strong triangle inequality")
+def _ultrametric_tree(space: FiniteMetricSpace) -> Ball:
+    edges, excess, limit = _ultrametric_excess(space)
+    if excess > limit:
+        raise NotUltrametric(
+            "the space does not satisfy the strong triangle inequality: d exceeds its"
+            f" subdominant ultrametric by {excess:.3g}, limit {limit:.3g}"
+        )
+    return _ball_tree(space.n, edges)
 
 
 def decompose(space: FiniteMetricSpace, full_split: bool = False) -> UltrametricTree:
     """Recursive diameter-split tree of an ultrametric space.
 
-    At each non-leaf node the points partition into maximal balls of radius
-    strictly below the node diameter; one side of the split is the largest
-    such ball (ties broken toward the one containing the smallest index) and
-    the other is its complement, so cross-distances all equal the diameter.
-    Children are ordered by their smallest point index. Recursion stops at
-    singletons and at discrete blocks, whose gap is known exactly; with
-    ``full_split`` discrete blocks keep splitting down to singletons.
+    It is read off the ball tree, whose node children are the maximal balls
+    of radius strictly below the node diameter. One side of the split is the
+    largest such ball (ties broken toward the one containing the smallest
+    index) and the other is its complement, so cross-distances all equal the
+    diameter. Children are ordered by their smallest point index. Recursion
+    stops at singletons and at discrete blocks, whose gap is known exactly;
+    with ``full_split`` discrete blocks keep splitting down to singletons.
     """
-    _require_ultrametric(space)
-    d = space.dist
 
-    def build(indices: list[int]) -> UltrametricTree:
-        labels = tuple(space.labels[i] for i in indices)
-        if len(indices) == 1:
-            return UltrametricTree(labels, tuple(indices), 0.0, None)
-        sub = d[np.ix_(indices, indices)]
-        off = sub[~np.eye(len(indices), dtype=bool)]
-        delta = float(off.max())
-        if not full_split and float(off.min()) == delta:
-            return UltrametricTree(labels, tuple(indices), delta, None)
+    def build(ball: Ball) -> UltrametricTree:
+        labels = tuple(space.labels[i] for i in ball.members)
+        kids = ball.children
+        if all(len(c.members) == 1 for c in kids) and not (kids and full_split):
+            return UltrametricTree(labels, ball.members, ball.height, None)
+        largest = max(kids, key=lambda c: len(c.members))
+        rest = tuple(c for c in kids if c is not largest)
+        if len(rest) > 1:
+            members = tuple(sorted(i for c in rest for i in c.members))
+            rest = (Ball(members, ball.height, rest),)
+        left, right = sorted((largest, rest[0]))
+        return UltrametricTree(labels, ball.members, ball.height, (build(left), build(right)))
 
-        # Maximal strict balls partition the node (ultrametric equivalence).
-        assigned = [False] * len(indices)
-        classes: list[list[int]] = []
-        for pos in range(len(indices)):
-            if assigned[pos]:
-                continue
-            members = [q for q in range(len(indices)) if sub[pos, q] < delta]
-            for q in members:
-                assigned[q] = True
-            classes.append(members)
-        largest = max(classes, key=len)
-        rest = sorted(q for cls in classes if cls is not largest for q in cls)
-        side_a = [indices[q] for q in largest]
-        side_b = [indices[q] for q in rest]
-        if side_b[0] < side_a[0]:
-            side_a, side_b = side_b, side_a
-        return UltrametricTree(
-            labels, tuple(indices), delta, (build(side_a), build(side_b))
-        )
-
-    return build(list(range(space.n)))
+    return build(_ultrametric_tree(space))
 
 
 @dataclass(frozen=True)
@@ -232,22 +223,21 @@ class CoterieSet:
 def coteries(space: FiniteMetricSpace) -> CoterieSet:
     """All distinct minimum-distance balls holding at least two points.
 
-    In an ultrametric space closed balls of the minimum positive radius are
-    pairwise disjoint or equal, so deduplication by point set is exact.
+    These are the ball-tree nodes at the minimum positive distance, listed by
+    their smallest index.
     """
-    _require_ultrametric(space)
+    root = _ultrametric_tree(space)
     if space.n < 2:
         raise SinglePoint("coteries need at least two points")
-    d = space.dist
-    off = d[~np.eye(space.n, dtype=bool)]
-    alpha = float(off.min())
-    seen: set[tuple[int, ...]] = set()
-    groups: list[tuple[int, ...]] = []
-    for i in range(space.n):
-        ball = tuple(int(j) for j in np.flatnonzero(d[i] <= alpha))
-        if len(ball) >= 2 and ball not in seen:
-            seen.add(ball)
-            groups.append(ball)
+    nodes = []
+    stack = [root]  # no recursion: the tree can be as deep as n
+    while stack:
+        ball = stack.pop()
+        if ball.children:
+            nodes.append(ball)
+            stack.extend(ball.children)
+    alpha = min(ball.height for ball in nodes)
+    groups = sorted(ball.members for ball in nodes if ball.height == alpha)
     return CoterieSet(
         alpha=alpha,
         coteries=tuple(tuple(space.labels[j] for j in ball) for ball in groups),
@@ -280,7 +270,7 @@ def mp_ultrametric_properties(space: FiniteMetricSpace, p: float) -> Ultrametric
     Both hold for every finite ultrametric space; this is a first-class
     numerical diagnostic, not only a test helper.
     """
-    _require_ultrametric(space)
+    _ultrametric_tree(space)
     if space.n < 2:
         raise SinglePoint("diagnostics need at least two points")
     entries = space.dist**p

@@ -3,7 +3,8 @@
 The seven-point example space (a path-shaped weighted graph and its minimax
 distance matrix) is used throughout; random ultrametric spaces are built as
 random dendrograms with ascending merge heights, which guarantees the strong
-triangle inequality exactly.
+triangle inequality exactly. The ``brute_*`` functions are cubic oracles for
+the ultrametric ball tree.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from negtype import FiniteMetricSpace, discrete_space, scale_space, validate_metric
+from negtype.metric import METRIC_RTOL
 
 EXAMPLE_LABELS = ("a", "b", "c", "d", "e", "f", "g")
 
@@ -47,21 +49,25 @@ def line_space() -> FiniteMetricSpace:
     return validate_metric(["u", "v", "w"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
 
-def random_ultrametric(rng: np.random.Generator, n: int, lo=1.0, hi=2.0) -> FiniteMetricSpace:
-    """Random dendrogram metric: merge heights drawn in [lo, hi], ascending."""
-    if n == 1:
-        return validate_metric(["x1"], np.zeros((1, 1)))
+def random_dendrogram(rng: np.random.Generator, n: int, lo=1.0, hi=2.0) -> np.ndarray:
+    """Distance matrix of a random dendrogram: merge heights drawn in [lo, hi], ascending."""
     clusters: list[list[int]] = [[i] for i in range(n)]
     heights = np.sort(rng.uniform(lo, hi, size=n - 1))
     d = np.zeros((n, n))
     for height in heights:
         i, j = sorted(rng.choice(len(clusters), size=2, replace=False))
-        for a in clusters[i]:
-            for b in clusters[j]:
-                d[a, b] = d[b, a] = height
+        d[np.ix_(clusters[i], clusters[j])] = height
+        d[np.ix_(clusters[j], clusters[i])] = height
         clusters[i] = clusters[i] + clusters[j]
         del clusters[j]
-    return validate_metric([f"x{i + 1}" for i in range(n)], d)
+    return d
+
+
+def random_ultrametric(rng: np.random.Generator, n: int, lo=1.0, hi=2.0) -> FiniteMetricSpace:
+    """Random dendrogram metric: merge heights drawn in [lo, hi], ascending."""
+    if n == 1:
+        return validate_metric(["x1"], np.zeros((1, 1)))
+    return validate_metric([f"x{i + 1}" for i in range(n)], random_dendrogram(rng, n, lo, hi))
 
 
 def random_euclidean(rng: np.random.Generator, n: int, dim: int = 3) -> FiniteMetricSpace:
@@ -116,3 +122,39 @@ def tree_path_max_weight(tree_edges, u: str, v: str) -> float:
             if nbr != parent:
                 stack.append((nbr, node, max(peak, w)))
     raise AssertionError(f"no path from {u} to {v}")
+
+
+def brute_is_ultrametric(space: FiniteMetricSpace) -> bool:
+    """Cubic oracle: d(x, y) <= max(d(x, z), d(z, y)) + METRIC_RTOL * diameter on every triple."""
+    d = space.dist
+    if space.n < 3:
+        return True
+    tol = METRIC_RTOL * float(d.max())
+    peaks = np.maximum(d[:, None, :], d.T[None, :, :])  # (i, j, k)
+    return bool((peaks >= d[:, :, None] - tol).all())
+
+
+def brute_strictly_ultrametric(a) -> bool:
+    """Cubic oracle: every entry dominates the min over detours and the
+    diagonal strictly dominates its row."""
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    detours = np.minimum(a[:, None, :], a.T[None, :, :])  # [i, j, k] -> min(a[i,k], a[k,j])
+    if not (a[:, :, None] >= detours).all():
+        return False
+    off_max = np.where(np.eye(n, dtype=bool), -np.inf, a).max(axis=1)
+    return bool((np.diag(a) > off_max).all())
+
+
+def brute_minimax(vertices, edges) -> np.ndarray:
+    """Cubic oracle: minimax-path distances by Floyd-Warshall in the (min, max) semiring."""
+    index = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)
+    d = np.full((n, n), np.inf)
+    for u, v, w in edges:
+        i, j = index[u], index[v]
+        d[i, j] = d[j, i] = min(d[i, j], w)
+    for k in range(n):
+        d = np.minimum(d, np.maximum(d[:, k, None], d[None, k, :]))
+    np.fill_diagonal(d, 0.0)
+    return d

@@ -4,9 +4,11 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from negtype.cli import main
+from negtype import p_distance_matrix, spectral
+from negtype.cli import _load_matrix_space, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -18,6 +20,22 @@ def run(capsys, *argv):
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("name", ["example_matrix.txt", "line3.txt", "single_point.txt"])
+    def test_one_eigendecomposition_feeds_the_spectrum(self, capsys, monkeypatch, name):
+        real = spectral.sym_eigen
+        calls = []
+
+        def counted(a):
+            calls.append(1)
+            return real(a)
+
+        monkeypatch.setattr(spectral, "sym_eigen", counted)
+        code, out, _ = run(capsys, "analyze", DATA / name, "--json", "--p", "1")
+        assert code == 0
+        dp = p_distance_matrix(_load_matrix_space(str(DATA / name)), 1.0)
+        assert json.loads(out)["spectrum"] == [float(v) for v in real(dp.entries).eigenvalues]
+        assert len(calls) == (1 if dp.n > 1 else 0)
+
     def test_example_matrix(self, capsys):
         code, out, err = run(capsys, "analyze", DATA / "example_matrix.txt", "--p", "1")
         assert code == 0

@@ -5,6 +5,7 @@ from math import inf
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from helpers import random_euclidean, random_ultrametric
 from negtype import (
@@ -185,6 +186,23 @@ class TestHatMatrix:
     def test_requires_strict(self, line3):
         with pytest.raises(NotStrict):
             hat_matrix(dp_of(line3, 2.0))
+
+    def test_bitwise_equal_to_refined_explicit_inverse(self, example78):
+        # Reference: LU inverse of D_p refined by up to three residual sweeps.
+        for p in (0.5, 1.0, 2.0):
+            dp = dp_of(example78, p)
+            cert = certify(dp)
+            a, eye = dp.entries, np.eye(dp.n)
+            lu = lu_factor(a)
+            inv = lu_solve(lu, eye)
+            for _ in range(3):
+                r = eye - a @ inv
+                if not np.abs(r).any():
+                    break
+                inv = inv + lu_solve(lu, r)
+            expected = np.outer(cert.b, cert.b) / cert.b.sum() - inv
+            expected = 0.5 * (expected + expected.T)
+            assert np.array_equal(hat_matrix(dp, cert), expected)
 
 
 class TestGapExact:

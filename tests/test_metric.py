@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,15 @@ from helpers import (
     EXAMPLE_EDGES,
     EXAMPLE_LABELS,
     EXAMPLE_MATRIX,
+    brute_is_ultrametric,
+    brute_minimax,
     random_connected_graph,
+    random_dendrogram,
+    random_euclidean,
+    random_ultrametric,
     tree_path_max_weight,
 )
+from negtype import metric
 from negtype import (
     build_graph,
     discrete_space,
@@ -35,6 +42,7 @@ from negtype.errors import (
     NonzeroDiagonal,
     ParseError,
     SinglePoint,
+    ToleranceFailure,
     TriangleViolation,
 )
 
@@ -73,6 +81,35 @@ class TestValidateMetric:
     def test_idempotent(self, example78):
         again = validate_metric(example78.labels, example78.dist)
         assert np.array_equal(again.dist, example78.dist)
+
+    def test_first_violation_matches_full_cubic_scan(self):
+        # n = 60 and 130 span several row blocks of the triangle check.
+        rng = np.random.default_rng(11)
+        for n in (4, 9, 60, 130):
+            for _ in range(3):
+                d = random_euclidean(rng, n).dist.copy()
+                i, j = rng.choice(n, size=2, replace=False)
+                d[i, j] = d[j, i] = 3.0 * d[i, j]
+                tol = metric.METRIC_RTOL * float(d.max())
+                slack = d[:, None, :] + d.T[None, :, :] - d[:, :, None]
+                expected = tuple(map(int, np.argwhere(slack < -tol)[0]))
+                with pytest.raises(TriangleViolation) as err:
+                    validate_metric([str(x) for x in range(n)], d)
+                assert (err.value.i, err.value.j, err.value.k) == expected
+
+    def test_memory_stays_quadratic(self):
+        n = 400
+        d = random_dendrogram(np.random.default_rng(3), n)
+        labels = [f"x{i + 1}" for i in range(n)]
+        graph = build_graph(random_connected_graph(np.random.default_rng(4), n))
+        tracemalloc.start()
+        try:
+            validate_metric(labels, d)
+            ultrametric_from_graph(graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (8 * n * n)
 
 
 class TestPDistanceMatrix:
@@ -151,6 +188,33 @@ class TestIsUltrametric:
     def test_discrete_always(self):
         assert is_ultrametric(discrete_space(5, 3.0))
 
+    def test_matches_cubic_oracle(self, corpus):
+        rng = np.random.default_rng(5)
+        spaces = list(corpus)
+        spaces += [random_euclidean(rng, int(rng.integers(2, 25))) for _ in range(60)]
+        for _ in range(30):
+            edges = random_connected_graph(rng, int(rng.integers(2, 20)))
+            spaces.append(ultrametric_from_graph(build_graph(edges)))
+        for space in spaces:
+            assert is_ultrametric(space) == brute_is_ultrametric(space)
+
+    def test_single_perturbation_matches_cubic_oracle(self):
+        # Moves of one entry well below, near and well above the tolerance.
+        rng = np.random.default_rng(6)
+        outcomes = set()
+        for _ in range(120):
+            space = random_ultrametric(rng, int(rng.integers(3, 16)))
+            tol = metric.METRIC_RTOL * float(space.dist.max())
+            d = space.dist.copy()
+            i, j = rng.choice(space.n, size=2, replace=False)
+            step = float(rng.choice([0.01, 0.5, 2.0, 100.0, 1e6])) * tol
+            d[i, j] = d[j, i] = d[i, j] + float(rng.choice([-1.0, 1.0])) * step
+            perturbed = validate_metric(space.labels, d)
+            verdict = is_ultrametric(perturbed)
+            assert verdict == brute_is_ultrametric(perturbed)
+            outcomes.add(verdict)
+        assert outcomes == {True, False}
+
 
 class TestSpaceStats:
     def test_example(self, example78):
@@ -195,6 +259,33 @@ class TestMinimaxGraph:
     def test_disconnected(self):
         graph = build_graph([("a", "b", 1.0), ("c", "d", 1.0)])
         with pytest.raises(DisconnectedGraph):
+            ultrametric_from_graph(graph)
+
+    def test_matches_floyd_warshall_oracle(self):
+        rng = np.random.default_rng(8)
+        for k in range(60):
+            edges = random_connected_graph(rng, int(rng.integers(2, 25)))
+            if k % 2:  # integer weights: many equal heights
+                edges = [(u, v, float(np.ceil(w))) for u, v, w in edges]
+            graph = build_graph(edges)
+            space = ultrametric_from_graph(graph)
+            assert np.array_equal(space.dist, brute_minimax(graph.vertices, graph.edges))
+
+    def test_single_vertex(self):
+        space = ultrametric_from_graph(build_graph([], vertices=["solo"]))
+        assert space.n == 1 and space.dist[0, 0] == 0.0
+
+    def test_self_check_states_excess_and_limit(self, monkeypatch):
+        real = metric.validate_metric
+
+        def skewed(labels, d):
+            d = d.copy()
+            d[0, 2] = d[2, 0] = 1.5
+            return real(labels, d)
+
+        monkeypatch.setattr(metric, "validate_metric", skewed)
+        graph = build_graph([("a", "b", 1.0), ("b", "c", 1.0)])
+        with pytest.raises(ToleranceFailure, match=r"by 0\.5, limit 1\.5e-09"):
             ultrametric_from_graph(graph)
 
     @settings(deadline=None, max_examples=40, derandomize=True)

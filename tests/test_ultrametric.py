@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from helpers import (
+    brute_strictly_ultrametric,
+    random_connected_graph,
+    random_dendrogram,
+    random_euclidean,
+)
 from negtype import (
+    FiniteMetricSpace,
     GlueSpec,
+    build_graph,
     asymptotic_gap_limit,
     certify,
     coteries,
@@ -13,13 +23,16 @@ from negtype import (
     gamma_discrete,
     gap_exact,
     glue_spaces,
+    is_ultrametric,
     mp_ultrametric_properties,
     p_distance_matrix,
     recursive_gap_bounds,
     scale_space,
     strictly_ultrametric_check,
+    ultrametric_from_graph,
 )
 from negtype.errors import NegativeEntry, NotSymmetric, NotUltrametric
+from negtype.metric import _ball_tree, _spanning_tree
 
 
 def dp_of(space, p=1.0):
@@ -46,6 +59,62 @@ class TestStrictlyUltrametricCheck:
     def test_negative_entry(self):
         with pytest.raises(NegativeEntry):
             strictly_ultrametric_check([[1.0, -0.1], [-0.1, 1.0]])
+
+    def test_matches_detour_oracle(self, corpus):
+        rng = np.random.default_rng(9)
+        matrices = []
+        for space in corpus:
+            diam = float(space.dist.max())
+            shifted = diam * np.ones((space.n, space.n)) - space.dist
+            matrices += [shifted, shifted + np.diag(rng.uniform(-0.5, 0.5, space.n)).clip(0)]
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            a = rng.integers(0, 3, (n, n)).astype(float)  # small integers: many ties
+            matrices.append(np.maximum(a, a.T) + rng.integers(0, 4) * np.eye(n))
+        outcomes = {True: 0, False: 0}
+        for a in matrices:
+            verdict = strictly_ultrametric_check(a)
+            assert verdict == brute_strictly_ultrametric(a)
+            outcomes[verdict] += 1
+        assert min(outcomes.values()) >= 50
+
+
+class TestBallTree:
+    def test_children_are_the_maximal_strict_balls(self, corpus):
+        rng = np.random.default_rng(10)
+        spaces = list(corpus)
+        for _ in range(20):
+            edges = random_connected_graph(rng, int(rng.integers(2, 20)))
+            spaces.append(ultrametric_from_graph(build_graph(edges)))
+        for space in spaces:
+            d = space.dist
+            edges, sub = _spanning_tree(d)
+            root = _ball_tree(space.n, edges)
+            assert np.array_equal(sub, d)
+            assert root.members == tuple(range(space.n))
+            stack = [root]
+            while stack:
+                ball = stack.pop()
+                stack.extend(ball.children)
+                if not ball.children:
+                    assert len(ball.members) == 1 and ball.height == 0.0
+                    continue
+                members = np.array(ball.members)
+                block = d[np.ix_(members, members)]
+                assert block.max() == ball.height
+                # classes of "closer than the height" are exactly the children
+                classes = {tuple(members[row < ball.height].tolist()) for row in block}
+                assert classes == {child.members for child in ball.children}
+                firsts = [child.members[0] for child in ball.children]
+                assert firsts == sorted(firsts)
+
+    def test_subdominant_never_exceeds_the_weights(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            d = random_euclidean(rng, int(rng.integers(2, 20))).dist
+            _, sub = _spanning_tree(d)
+            assert (sub <= d).all()
+            assert np.array_equal(_spanning_tree(sub)[1], sub)
 
 
 class TestDecompose:
@@ -88,8 +157,25 @@ class TestDecompose:
         assert tree.split_distance == 1.0
 
     def test_not_ultrametric(self, line3):
-        with pytest.raises(NotUltrametric):
+        with pytest.raises(NotUltrametric, match=r"by 1, limit 2e-09"):
             decompose(line3)
+
+    def test_large_tree_memory_stays_quadratic(self):
+        n = 2000
+        d = random_dendrogram(np.random.default_rng(2), n)
+        space = FiniteMetricSpace(tuple(f"x{i + 1}" for i in range(n)), d, n)
+        tracemalloc.start()
+        try:
+            ultrametric = is_ultrametric(space)
+            tree = decompose(space)
+            cots = coteries(space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (8 * n * n)
+        assert ultrametric
+        assert tree.size == n and tree.split_distance == d.max()
+        assert cots.alpha == d[~np.eye(n, dtype=bool)].min()
 
     def test_cross_distances_equal_split(self, corpus):
         for space in corpus[:30]:
