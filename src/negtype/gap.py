@@ -385,7 +385,8 @@ def gap_numeric_oracle(
     mean subtraction, renormalized in the 1-norm, and descended with a
     backtracking step size. Twice the best minimum found is an upper bound on
     the gap up to solver tolerance, and converges to it given enough
-    restarts on small spaces.
+    restarts on small spaces. A single point has no nonzero zero-sum vector,
+    so its gap is infinite, as in ``gap_exact``.
     """
     if cert is None:
         cert = certify(dp)
@@ -393,6 +394,8 @@ def gap_numeric_oracle(
         raise NotStrict("the numeric oracle requires a strict space")
     entries = dp.entries
     n = dp.n
+    if n == 1:
+        return OracleResult(gamma=inf, minimizer=np.zeros(1), restarts=restarts, iterations=0)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((restarts, n))
     x /= np.linalg.norm(x, axis=1, keepdims=True)

@@ -7,12 +7,20 @@ while file-parsed decimals survive round-off.
 Ultrametric structure comes from one O(n^2) minimum spanning tree pass,
 ``_spanning_tree``, and its single linkage, ``_ball_tree``; the
 strong-triangle test, the graph minimax distances, the decomposition and the
-coteries all read from them.
+coteries all read from them. Each space runs that pass at most once and
+caches the result.
+
+Validation costs O(n^2) when d is within ``METRIC_RTOL * diameter`` of its
+subdominant ultrametric, and O(n^3) otherwise. The subdominant only copies
+entries of d, so sub_ij <= max(d_ik, d_kj) <= fl(d_ik + d_kj) on every
+triple; rounding is monotone, so the triangle slack is at least
+-fl(d_ij - sub_ij) >= -tolerance and the cubic scan could find nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -58,6 +66,16 @@ class FiniteMetricSpace:
     def __repr__(self) -> str:  # keep reprs short; matrices can be large
         return f"FiniteMetricSpace(n={self.n}, labels={list(self.labels)!r})"
 
+    @cached_property
+    def _ultrametric(self) -> tuple[list[tuple[float, int, int]], float, float]:
+        """Spanning tree edges, the largest excess of d over its subdominant
+        ultrametric, and the limit ``METRIC_RTOL * diameter`` on it. Computed
+        once, on first use; ``cached_property`` writes the instance
+        ``__dict__``, which the frozen dataclass allows."""
+        d = self.dist
+        edges, sub = _spanning_tree(d)
+        return edges, float((d - sub).max()), METRIC_RTOL * float(d.max())
+
 
 @dataclass(frozen=True)
 class PDistanceMatrix:
@@ -94,12 +112,15 @@ def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
     Checks, in order: shape, exact symmetry, exact zero diagonal, strictly
     positive off-diagonal entries, and the triangle inequality within a
     relative tolerance of ``METRIC_RTOL * diameter``. Errors name the
-    offending indices.
+    offending indices. The triangle scan runs only when d is not within
+    that tolerance of its subdominant ultrametric, which implies every
+    triangle (see the module docstring). The space holds its own copy of
+    the matrix.
     """
     labels = tuple(str(x) for x in labels)
     if len(set(labels)) != len(labels):
         raise LabelCollision("duplicate point labels")
-    d = np.asarray(raw_matrix, dtype=np.float64)
+    d = np.array(raw_matrix, dtype=np.float64, order="C")  # the space owns its copy
     n = len(labels)
     if d.ndim != 2 or d.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {d.shape}")
@@ -119,8 +140,11 @@ def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
         i, j = map(int, bad_off[0])
         raise NonpositiveOffDiagonal(i, j)
 
-    if n >= 3:
-        tol = METRIC_RTOL * float(d.max())
+    space = FiniteMetricSpace(labels=labels, dist=_freeze(d), n=n)
+    if n < 3:
+        return space
+    _, excess, tol = space._ultrametric
+    if excess > tol:
         # d[i,j] <= d[i,k] + d[k,j] for all triples, vectorized over (j, k) for
         # a block of rows i; d is exactly symmetric here, so d[k,j] == d[j,k].
         rows = max(1, (1 << 17) // (n * n))  # blocks of at most 1 MB
@@ -130,8 +154,7 @@ def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
             if slack.min() < -tol:
                 i, j, k = map(int, np.argwhere(slack < -tol)[0])
                 raise TriangleViolation(start + i, j, k)
-
-    return FiniteMetricSpace(labels=labels, dist=_freeze(d), n=n)
+    return space
 
 
 def p_distance_matrix(space: FiniteMetricSpace, p: float) -> PDistanceMatrix:
@@ -169,7 +192,7 @@ def is_ultrametric(space: FiniteMetricSpace) -> bool:
     """Whether d exceeds its subdominant ultrametric nowhere by more than
     ``METRIC_RTOL * diameter``, which implies d(x, y) <= max(d(x, z), d(z, y))
     with that slack on every triple."""
-    _, excess, limit = _ultrametric_excess(space)
+    _, excess, limit = space._ultrametric
     return excess <= limit
 
 
@@ -230,14 +253,6 @@ def _ball_tree(n: int, edges: list[tuple[float, int, int]]) -> Ball:
         up[a] = b
         top[b] = Ball(tuple(sorted(top[a].members + top[b].members)), h, tuple(sorted(parts)))
     return top[_find(up, 0)]
-
-
-def _ultrametric_excess(space: FiniteMetricSpace) -> tuple[list, float, float]:
-    """Spanning tree edges of the space, the largest excess of d over its
-    subdominant ultrametric, and the limit ``METRIC_RTOL * diameter`` on it."""
-    d = space.dist
-    edges, sub = _spanning_tree(d)
-    return edges, float((d - sub).max()), METRIC_RTOL * float(d.max())
 
 
 def space_stats(space: FiniteMetricSpace) -> SpaceStats:
@@ -319,7 +334,7 @@ def ultrametric_from_graph(graph: WeightedGraph) -> FiniteMetricSpace:
         i, j = index[u], index[v]
         w[i, j] = w[j, i] = min(weight, w[i, j])
     space = validate_metric(graph.vertices, _spanning_tree(w)[1])
-    _, excess, limit = _ultrametric_excess(space)
+    _, excess, limit = space._ultrametric
     if excess > limit:
         raise ToleranceFailure(
             f"minimax distances exceed their subdominant ultrametric by {excess:.3g},"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import gamma_discrete
 from .errors import NegativeEntry, NotSymmetric, NotUltrametric, SinglePoint
-from .metric import Ball, FiniteMetricSpace, _ball_tree, _spanning_tree, _ultrametric_excess
+from .metric import Ball, FiniteMetricSpace, _ball_tree, _spanning_tree
 from .spectral import refined_solve
 
 
@@ -63,16 +63,28 @@ class UltrametricTree:
         return len(self.indices)
 
     def serialize(self) -> str:
-        if self.is_leaf:
-            return f"[{' '.join(self.labels)} @ {_fmt(self.split_distance)}]"
-        left, right = self.children
-        return f"(split={_fmt(self.split_distance)} {left.serialize()} {right.serialize()})"
+        parts: list[str] = []
+        stack: list = [self]  # no recursion: the tree can be as deep as n
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif item.is_leaf:
+                parts.append(f"[{' '.join(item.labels)} @ {_fmt(item.split_distance)}]")
+            else:
+                left, right = item.children
+                parts.append(f"(split={_fmt(item.split_distance)} ")
+                stack += [")", right, " ", left]
+        return "".join(parts)
 
     def walk(self):
-        yield self
-        if self.children is not None:
-            for child in self.children:
-                yield from child.walk()
+        """Nodes in pre-order: each node, then its left and right subtrees."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.children is not None:
+                stack += reversed(node.children)
 
 
 def _fmt(x: float) -> str:
@@ -80,7 +92,7 @@ def _fmt(x: float) -> str:
 
 
 def _ultrametric_tree(space: FiniteMetricSpace) -> Ball:
-    edges, excess, limit = _ultrametric_excess(space)
+    edges, excess, limit = space._ultrametric
     if excess > limit:
         raise NotUltrametric(
             "the space does not satisfy the strong triangle inequality: d exceeds its"
@@ -100,21 +112,27 @@ def decompose(space: FiniteMetricSpace, full_split: bool = False) -> Ultrametric
     stops at singletons and at discrete blocks, whose gap is known exactly;
     with ``full_split`` discrete blocks keep splitting down to singletons.
     """
-
-    def build(ball: Ball) -> UltrametricTree:
-        labels = tuple(space.labels[i] for i in ball.members)
+    balls = [_ultrametric_tree(space)]
+    sides: list[int | None] = []  # where each ball's two sides sit in ``balls``
+    for ball in balls:  # grows while it is read: no recursion, the tree can be as deep as n
         kids = ball.children
         if all(len(c.members) == 1 for c in kids) and not (kids and full_split):
-            return UltrametricTree(labels, ball.members, ball.height, None)
+            sides.append(None)
+            continue
         largest = max(kids, key=lambda c: len(c.members))
         rest = tuple(c for c in kids if c is not largest)
         if len(rest) > 1:
             members = tuple(sorted(i for c in rest for i in c.members))
             rest = (Ball(members, ball.height, rest),)
-        left, right = sorted((largest, rest[0]))
-        return UltrametricTree(labels, ball.members, ball.height, (build(left), build(right)))
-
-    return build(_ultrametric_tree(space))
+        sides.append(len(balls))
+        balls += sorted((largest, rest[0]))
+    trees: list = [None] * len(balls)
+    for k in reversed(range(len(balls))):  # a ball's sides come after it
+        ball, s = balls[k], sides[k]
+        children = None if s is None else (trees[s], trees[s + 1])
+        labels = tuple(space.labels[i] for i in ball.members)
+        trees[k] = UltrametricTree(labels, ball.members, ball.height, children)
+    return trees[0]
 
 
 @dataclass(frozen=True)

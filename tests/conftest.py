@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import example_space, line_space, ultrametric_corpus
+from negtype import metric
 
 
 @pytest.fixture(scope="session")
@@ -18,3 +19,17 @@ def line3():
 @pytest.fixture(scope="session")
 def corpus():
     return ultrametric_corpus()
+
+
+@pytest.fixture
+def spanning_tree_calls(monkeypatch):
+    """Sizes of the matrices given to ``metric._spanning_tree`` during the test."""
+    real = metric._spanning_tree
+    calls = []
+
+    def counted(w):
+        calls.append(w.shape[0])
+        return real(w)
+
+    monkeypatch.setattr(metric, "_spanning_tree", counted)
+    return calls

@@ -70,6 +70,14 @@ def random_ultrametric(rng: np.random.Generator, n: int, lo=1.0, hi=2.0) -> Fini
     return validate_metric([f"x{i + 1}" for i in range(n)], random_dendrogram(rng, n, lo, hi))
 
 
+def caterpillar(n: int) -> np.ndarray:
+    """Ultrametric d[i, j] = max(i, j) + 1: its ball tree has n - 1 levels."""
+    i = np.arange(n)
+    d = np.maximum.outer(i, i) + 1.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
 def random_euclidean(rng: np.random.Generator, n: int, dim: int = 3) -> FiniteMetricSpace:
     """Distance matrix of random Gaussian points (strict at p = 1)."""
     points = rng.standard_normal((n, dim))
@@ -132,6 +140,16 @@ def brute_is_ultrametric(space: FiniteMetricSpace) -> bool:
     tol = METRIC_RTOL * float(d.max())
     peaks = np.maximum(d[:, None, :], d.T[None, :, :])  # (i, j, k)
     return bool((peaks >= d[:, :, None] - tol).all())
+
+
+def brute_triangle_violation(d) -> tuple[int, int, int] | None:
+    """Cubic oracle: the first (i, j, k) in C order whose slack
+    d[i, k] + d[k, j] - d[i, j] is below -METRIC_RTOL * max(d), or None."""
+    d = np.asarray(d, dtype=np.float64)
+    tol = METRIC_RTOL * float(d.max())
+    slack = d[:, None, :] + d.T[None, :, :] - d[:, :, None]  # (i, j, k)
+    bad = np.argwhere(slack < -tol)
+    return tuple(map(int, bad[0])) if bad.size else None
 
 
 def brute_strictly_ultrametric(a) -> bool:

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import caterpillar
 from negtype import p_distance_matrix, spectral
 from negtype.cli import _load_matrix_space, main
 
@@ -150,6 +152,11 @@ class TestGlue:
         assert code == 1
         assert "diameter" in err
 
+    def test_one_spanning_tree_pass_per_space(self, capsys, spanning_tree_calls):
+        code, _, _ = run(capsys, "glue", DATA / "x5_a.txt", DATA / "x5_b.txt", "--c", "5")
+        assert code == 0
+        assert spanning_tree_calls == [5, 5, 10]  # the two components and the glued space
+
     def test_not_negative_type_glue_exits_two(self, capsys):
         code, out, _ = run(
             capsys, "glue", DATA / "x5_a.txt", DATA / "x5_b.txt", "--c", "0.5", "--json"
@@ -219,6 +226,16 @@ class TestUltra:
         report = json.loads(out)
         assert report["bounds"]["gamma_lower"] <= report["gamma_exact"]
 
+    def test_decompose_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        n = sys.getrecursionlimit() + 100
+        path = tmp_path / "caterpillar.txt"
+        rows = "\n".join(" ".join(f"{x:g}" for x in row) for row in caterpillar(n))
+        path.write_text(f"{n}\n{rows}\n")
+        code, out, _ = run(capsys, "ultra", "decompose", path)
+        assert code == 0
+        assert f"decomposition: (split={n} (split={n - 1} " in out
+        assert out.count("  split at ") == n - 2
+
 
 class TestSinglePoint:
     def test_analyze_single_point(self, capsys):
@@ -228,3 +245,9 @@ class TestSinglePoint:
         assert report["certificate"]["classification"] == "StrictNegativeType"
         assert report["gap"]["gamma"] == float("inf")
         assert report["gap"]["method"] == "SinglePoint"
+
+    def test_oracle_single_point_is_infinite(self, capsys):
+        code, out, err = run(capsys, "analyze", DATA / "single_point.txt", "--json", "--oracle")
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["gap"]["oracle_gamma"] == float("inf")

@@ -14,15 +14,21 @@ from helpers import (
     EXAMPLE_MATRIX,
     brute_is_ultrametric,
     brute_minimax,
+    brute_triangle_violation,
+    caterpillar,
     random_connected_graph,
     random_dendrogram,
     random_euclidean,
     random_ultrametric,
     tree_path_max_weight,
+    ultrametric_corpus,
 )
 from negtype import metric
 from negtype import (
     build_graph,
+    certify,
+    coteries,
+    decompose,
     discrete_space,
     is_ultrametric,
     p_distance_matrix,
@@ -78,6 +84,10 @@ class TestValidateMetric:
         space = validate_metric(["x"], [[0.0]])
         assert space.n == 1
 
+    def test_empty_matrix_is_valid(self):
+        # no triangle to check, so no spanning tree is built
+        assert validate_metric([], np.zeros((0, 0))).n == 0
+
     def test_idempotent(self, example78):
         again = validate_metric(example78.labels, example78.dist)
         assert np.array_equal(again.dist, example78.dist)
@@ -90,12 +100,74 @@ class TestValidateMetric:
                 d = random_euclidean(rng, n).dist.copy()
                 i, j = rng.choice(n, size=2, replace=False)
                 d[i, j] = d[j, i] = 3.0 * d[i, j]
-                tol = metric.METRIC_RTOL * float(d.max())
-                slack = d[:, None, :] + d.T[None, :, :] - d[:, :, None]
-                expected = tuple(map(int, np.argwhere(slack < -tol)[0]))
+                expected = brute_triangle_violation(d)
                 with pytest.raises(TriangleViolation) as err:
                     validate_metric([str(x) for x in range(n)], d)
                 assert (err.value.i, err.value.j, err.value.k) == expected
+
+    def test_outcome_matches_cubic_scan_on_both_branches(self):
+        # The scan is skipped exactly when d is within tolerance of its
+        # subdominant ultrametric; both branches must agree with the full scan.
+        rng = np.random.default_rng(12)
+        matrices = [space.dist for space in ultrametric_corpus()]
+        matrices += [random_euclidean(rng, int(rng.integers(3, 30))).dist for _ in range(40)]
+        for _ in range(150):
+            d = random_dendrogram(rng, int(rng.integers(3, 20)))
+            i, j = rng.choice(d.shape[0], size=2, replace=False)
+            tol = metric.METRIC_RTOL * float(d.max())
+            kind = int(rng.integers(3))
+            if kind == 0:  # near the tolerance, either side
+                step = float(rng.choice([0.3, 0.9, 1.1, 3.0])) * tol
+                d[i, j] += float(rng.choice([-1.0, 1.0])) * step
+            elif kind == 1:  # a visible move that usually keeps the triangles
+                d[i, j] *= float(rng.uniform(0.6, 1.4))
+            else:  # past the shortest detour, or just inside its tolerance
+                others = np.setdiff1d(np.arange(d.shape[0]), [i, j])
+                detour = float((d[i, others] + d[others, j]).min())
+                d[i, j] = detour + float(rng.choice([0.5, 2.0, 1e6])) * tol
+            d[j, i] = d[i, j]
+            matrices.append(d)
+        # Points closer than the tolerance: d_ac exceeds its subdominant d_ab = d_bc
+        # by c * tol and breaks the triangle through b exactly when c > 1 + h.
+        tol = metric.METRIC_RTOL
+        for h in (1.0, 0.01):
+            for c in (0.5, 1.0, 1.02, 1.5, 2.5):
+                d = np.ones((4, 4))
+                np.fill_diagonal(d, 0.0)
+                d[0, 1] = d[1, 0] = d[1, 2] = d[2, 1] = h * tol
+                d[0, 2] = d[2, 0] = (h + c) * tol
+                matrices.append(d)
+        seen = set()
+        for d in matrices:
+            labels = [str(x) for x in range(d.shape[0])]
+            expected = brute_triangle_violation(d)
+            if expected is None:
+                space = validate_metric(labels, d)
+                assert np.array_equal(space.dist, d)
+                seen.add(("skip" if is_ultrametric(space) else "scan", "accept"))
+            else:
+                with pytest.raises(TriangleViolation) as err:
+                    validate_metric(labels, d)
+                assert (err.value.i, err.value.j, err.value.k) == expected
+                seen.add(("scan", "reject"))
+        assert seen == {("skip", "accept"), ("scan", "accept"), ("scan", "reject")}
+
+    def test_space_owns_its_matrix(self):
+        d = caterpillar(6)
+        space = validate_metric([f"x{i}" for i in range(6)], d)
+        assert d.flags.writeable
+        assert not space.dist.flags.writeable
+        d[0, 5] = d[5, 0] = 0.5  # would break the strong triangle inequality
+        assert np.array_equal(space.dist, caterpillar(6))
+        assert is_ultrametric(space)
+
+    def test_one_spanning_tree_pass_per_space(self, spanning_tree_calls):
+        space = validate_metric(EXAMPLE_LABELS, EXAMPLE_MATRIX)
+        certify(p_distance_matrix(space, 1.0))
+        assert is_ultrametric(space)
+        decompose(space)
+        coteries(space)
+        assert spanning_tree_calls == [7]
 
     def test_memory_stays_quadratic(self):
         n = 400

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     brute_strictly_ultrametric,
+    caterpillar,
     random_connected_graph,
     random_dendrogram,
     random_euclidean,
@@ -30,6 +31,7 @@ from negtype import (
     scale_space,
     strictly_ultrametric_check,
     ultrametric_from_graph,
+    validate_metric,
 )
 from negtype.errors import NegativeEntry, NotSymmetric, NotUltrametric
 from negtype.metric import _ball_tree, _spanning_tree
@@ -176,6 +178,23 @@ class TestDecompose:
         assert ultrametric
         assert tree.size == n and tree.split_distance == d.max()
         assert cots.alpha == d[~np.eye(n, dtype=bool)].min()
+
+    def test_caterpillar_deeper_than_the_recursion_limit(self):
+        # n - 2 nested splits; validation, the tree and the walk take no recursion.
+        n = 1500
+        space = validate_metric([f"x{i}" for i in range(n)], caterpillar(n))
+        tree = decompose(space)
+        splits = [node for node in tree.walk() if not node.is_leaf]
+        assert [node.split_distance for node in splits] == list(range(n, 2, -1))
+        assert [node.size for node in splits] == list(range(n, 2, -1))
+        expected = "[x0 x1 @ 2]"
+        for k in range(2, n):
+            expected = f"(split={k + 1} {expected} [x{k} @ 0])"
+        assert tree.serialize() == expected
+        rec = recursive_gap_bounds(space, 1.0)
+        assert len(rec.splits) == n - 2 and len(rec.leaves) == n - 1
+        assert rec.lower_reciprocal == 1.0 / (2.0 * gamma_discrete(2))
+        assert rec.upper_reciprocal == pytest.approx(rec.lower_reciprocal + n - 2, rel=1e-12)
 
     def test_cross_distances_equal_split(self, corpus):
         for space in corpus[:30]:
