@@ -84,6 +84,8 @@ def _certificate_summary(cert: gap_mod.NegTypeCertificate) -> dict:
 
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     space = _load_matrix_space(args.file)
     dp = p_distance_matrix(space, args.p)
     cert = gap_mod.certify(dp)

@@ -87,6 +87,9 @@ class GapResult:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """Best restart of the numeric oracle; ``iterations`` is the number of
+    descent steps the loop ran (at most ``max_iterations``)."""
+
     gamma: float
     minimizer: np.ndarray
     restarts: int
@@ -382,12 +385,22 @@ def gap_numeric_oracle(
 
     Minimizes the normalized form -(D_p x | x) / |x|_1^2 over the zero-sum
     hyperplane: restarts are drawn from a seeded uniform sphere, projected by
-    mean subtraction, renormalized in the 1-norm, and descended with a
-    backtracking step size. Twice the best minimum found is an upper bound on
-    the gap up to solver tolerance, and converges to it given enough
-    restarts on small spaces. A single point has no nonzero zero-sum vector,
-    so its gap is infinite, as in ``gap_exact``.
+    mean subtraction, renormalized in the 1-norm, and descended together with
+    a backtracking step size per restart. A restart is finished once its step
+    has shrunk to the 1e-17 floor or its gradient norm squared is below
+    1e-24; finished restarts retire in batches (once they are a quarter of
+    those still running), and the loop ends when none is left or after
+    ``max_iterations`` steps. ``iterations`` in the result counts the steps
+    taken. Twice the best minimum found is an upper bound on the gap up to
+    solver tolerance, and converges to it given enough restarts on small
+    spaces. A single point has no nonzero zero-sum vector, so its gap is
+    infinite, as in ``gap_exact``.
     """
+    for name, value, least in (
+        ("restarts", restarts, 1), ("max_iterations", max_iterations, 0), ("seed", seed, 0)
+    ):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     if cert is None:
         cert = certify(dp)
     if not cert.strict:
@@ -402,32 +415,52 @@ def gap_numeric_oracle(
     x -= x.mean(axis=1, keepdims=True)
     x /= np.abs(x).sum(axis=1, keepdims=True)
 
-    def value(v: np.ndarray) -> np.ndarray:
-        return -np.einsum("ij,ij->i", v @ entries, v)
-
-    f = value(x)
+    # One restart per column. Rows :n hold x and rows n: hold y = D_p x, so
+    # an accepted step takes x, y and f = -(y | x) from its candidate at once.
+    xy = np.empty((2 * n, restarts))
+    xy[:n] = x.T
+    np.matmul(entries, xy[:n], out=xy[n:])
+    f = -np.einsum("ij,ij->j", xy[n:], xy[:n])
     step = np.full(restarts, 0.25)
+    mean = np.full(n, 1.0 / n)
+    running = np.arange(restarts)  # the restart held in each column
+    final_x, final_f = np.empty((n, restarts)), np.empty(restarts)
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        grad = -2.0 * (x @ entries) - 2.0 * f[:, None] * np.sign(x)
-        grad -= grad.mean(axis=1, keepdims=True)
-        grad_sq = np.einsum("ij,ij->i", grad, grad)
-        if grad_sq.max() < 1e-24:
-            break
-        cand = x - step[:, None] * grad
-        cand -= cand.mean(axis=1, keepdims=True)
-        cand /= np.abs(cand).sum(axis=1, keepdims=True)
-        f_cand = value(cand)
+    while iterations < max_iterations:
+        x = xy[:n]
+        h = np.sign(x)  # becomes minus half the projected gradient
+        h *= f
+        h += xy[n:]
+        h -= mean @ h
+        grad_sq = 4.0 * np.einsum("ij,ij->j", h, h)
+        done = (grad_sq < 1e-24) | (step <= 1e-17)
+        if 4 * np.count_nonzero(done) >= len(running):
+            final_x[:, running[done]], final_f[running[done]] = x[:, done], f[done]
+            keep = ~done
+            running, step, f, grad_sq = running[keep], step[keep], f[keep], grad_sq[keep]
+            xy, h = np.ascontiguousarray(xy[:, keep]), np.ascontiguousarray(h[:, keep])
+            if not len(running):
+                break
+            x = xy[:n]
+        iterations += 1
+        cand = np.empty_like(xy)
+        c = cand[:n]
+        np.multiply(2.0 * step, h, out=c)
+        c += x
+        c -= mean @ c
+        c /= np.abs(c).sum(axis=0)
+        np.matmul(entries, c, out=cand[n:])
+        f_cand = -np.einsum("ij,ij->j", cand[n:], c)
         accepted = f_cand < f - 1e-4 * step * grad_sq
-        x[accepted] = cand[accepted]
-        f[accepted] = f_cand[accepted]
-        step[accepted] *= 1.3
-        step[~accepted] *= 0.5
+        xy = np.where(accepted, cand, xy)
+        f = np.where(accepted, f_cand, f)
+        step *= np.where(accepted, 1.3, 0.5)
         np.maximum(step, 1e-17, out=step)
-    best = int(np.argmin(f))
+    final_x[:, running], final_f[running] = xy[:n], f
+    best = int(np.argmin(final_f))
     return OracleResult(
-        gamma=2.0 * float(f[best]),
-        minimizer=x[best].copy(),
+        gamma=2.0 * float(final_f[best]),
+        minimizer=final_x[:, best].copy(),
         restarts=restarts,
         iterations=iterations,
     )

@@ -45,9 +45,13 @@ def strictly_ultrametric_check(a) -> bool:
     return bool((np.diag(a) > off_max).all())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False, eq=False)
 class UltrametricTree:
-    """Recursive diameter split; ``split_distance`` is the node's diameter."""
+    """Recursive diameter split; ``split_distance`` is the node's diameter.
+
+    Printing, comparison and hashing take no recursion: the tree can be as
+    deep as n.
+    """
 
     labels: tuple[str, ...]
     indices: tuple[int, ...]
@@ -85,6 +89,22 @@ class UltrametricTree:
             yield node
             if node.children is not None:
                 stack += reversed(node.children)
+
+    def _key(self) -> tuple:
+        return self.labels, self.indices, self.split_distance, self.is_leaf
+
+    def __repr__(self) -> str:  # keep reprs short; the tree can be large
+        kind = "leaf" if self.is_leaf else "split"
+        return f"UltrametricTree(size={self.size}, split_distance={_fmt(self.split_distance)}, {kind})"
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        # pre-order keys fix the shape: leaf flags in pre-order encode a binary tree
+        return all(a._key() == b._key() for a, b in zip(self.walk(), other.walk()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(node._key() for node in self.walk()))
 
 
 def _fmt(x: float) -> str:

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import caterpillar
+import negtype
+from helpers import caterpillar, random_euclidean
 from negtype import p_distance_matrix, spectral
 from negtype.cli import _load_matrix_space, main
 
@@ -108,6 +110,33 @@ class TestAnalyze:
         xi_product = json.loads(out_product)["xi"]["xi"]
         xi_power = json.loads(out_power)["xi"]["xi"]
         assert xi_product != xi_power
+
+    def test_negative_seed_is_rejected_before_loading(self, capsys, tmp_path):
+        # the file does not exist: the seed is checked first
+        code, out, err = run(capsys, "analyze", tmp_path / "missing.txt", "--oracle", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --seed must be at least 0, got -1\n"
+
+    def test_blas_thread_count_does_not_change_output(self, tmp_path):
+        n = 20
+        space = random_euclidean(np.random.default_rng(n), n)
+        path = tmp_path / "euclidean20.txt"
+        rows = "\n".join(" ".join(repr(float(x)) for x in row) for row in space.dist)
+        path.write_text(f"{n}\n{rows}\n")
+        src = str(Path(negtype.__file__).resolve().parent.parent)
+        for p in ("1", "1.5"):
+            reports = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+                argv = [sys.executable, "-m", "negtype.cli", "analyze", str(path), "--json",
+                        "--oracle", "--p", p]
+                done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+                report = json.loads(done.stdout)
+                report.pop("timing_seconds")
+                reports.append(report)
+            assert "oracle_gamma" in reports[0]["gap"]
+            assert reports[0] == reports[1]
 
     def test_threads_env_agrees(self, capsys):
         old = os.environ.get("NEGTYPE_THREADS")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from helpers import random_euclidean, random_ultrametric
+from helpers import random_euclidean, random_ultrametric, reference_oracle
 from negtype import (
     Classification,
     GapMethod,
@@ -366,6 +366,16 @@ class TestDefinitionCheck:
 
 
 class TestNumericOracle:
+    @staticmethod
+    def assert_matches_reference(dp, **kwargs):
+        oracle = gap_numeric_oracle(dp, **kwargs)
+        reference = reference_oracle(dp, **kwargs)
+        assert oracle.gamma == pytest.approx(reference.gamma, rel=1e-12, abs=0.0)
+        x = oracle.minimizer
+        form = -float(x @ dp.entries @ x) / float(np.abs(x).sum()) ** 2
+        assert oracle.gamma == pytest.approx(2.0 * form, rel=1e-12, abs=0.0)
+        return oracle
+
     def test_three_point_discrete(self):
         oracle = gap_numeric_oracle(dp_of(discrete_space(3)), restarts=100, seed=1)
         assert oracle.gamma == pytest.approx(0.75, abs=1e-6)
@@ -375,7 +385,7 @@ class TestNumericOracle:
         assert oracle.gamma == pytest.approx(2.0, abs=1e-6)
 
     def test_example_within_recursive_interval(self, example78):
-        oracle = gap_numeric_oracle(dp_of(example78), restarts=200, seed=3)
+        oracle = self.assert_matches_reference(dp_of(example78), restarts=200, seed=3)
         assert 4.0 / 33.0 - 1e-6 <= oracle.gamma <= 2.0 / 5.0 + 1e-6
 
     def test_never_undershoots_exact(self):
@@ -390,3 +400,45 @@ class TestNumericOracle:
     def test_requires_strict(self, line3):
         with pytest.raises(NotStrict):
             gap_numeric_oracle(dp_of(line3, 2.0))
+
+    def test_matches_reference_loop_on_corpus(self, corpus):
+        # 150 steps: the corpus restarts retire after fewer, the reference runs on.
+        retired = 0
+        for index, space in enumerate(corpus):
+            oracle = self.assert_matches_reference(
+                dp_of(space), restarts=50, seed=index, max_iterations=150
+            )
+            retired += oracle.iterations < 150
+        assert retired == len(corpus)
+
+    @pytest.mark.parametrize("n, p", [(18, 1.0), (19, 1.5), (20, 1.0), (21, 1.5)])
+    def test_matches_reference_loop_on_euclidean(self, n, p):
+        space = random_euclidean(np.random.default_rng(n), n)
+        oracle = self.assert_matches_reference(dp_of(space, p))
+        # at p = 1 every restart reaches the step floor and retires early;
+        # at p = 1.5 the descent is still accepting steps after 600
+        assert (oracle.iterations < 600) == (p == 1.0)
+
+    @pytest.mark.parametrize("max_iterations", [1, 10, 20])
+    def test_matches_reference_loop_before_convergence(self, example78, max_iterations):
+        # an unconverged restart follows the same steps: same acceptances, same
+        # schedule (one restart each, so that no tie decides which is returned)
+        for dp in (dp_of(example78), dp_of(random_euclidean(np.random.default_rng(18), 18), 1.5)):
+            for seed in range(3):
+                kwargs = dict(restarts=1, seed=seed, max_iterations=max_iterations)
+                oracle = self.assert_matches_reference(dp, **kwargs)
+                reference = reference_oracle(dp, **kwargs)
+                assert oracle.iterations == max_iterations
+                np.testing.assert_allclose(oracle.minimizer, reference.minimizer, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"restarts": 0}, "restarts must be at least 1, got 0"),
+            ({"max_iterations": -1}, "max_iterations must be at least 0, got -1"),
+            ({"seed": -1}, "seed must be at least 0, got -1"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, example78, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gap_numeric_oracle(dp_of(example78), **kwargs)

@@ -196,6 +196,23 @@ class TestDecompose:
         assert rec.lower_reciprocal == 1.0 / (2.0 * gamma_discrete(2))
         assert rec.upper_reciprocal == pytest.approx(rec.lower_reciprocal + n - 2, rel=1e-12)
 
+    def test_deep_tree_prints_compares_and_hashes(self):
+        n = 1500
+        labels = [f"x{i}" for i in range(n)]
+        tree = decompose(validate_metric(labels, caterpillar(n)))
+        again = decompose(validate_metric(labels, caterpillar(n)))
+        assert repr(tree) == "UltrametricTree(size=1500, split_distance=1500, split)"
+        assert repr(tree.children[1]) == "UltrametricTree(size=1, split_distance=0, leaf)"
+        assert tree == again and tree is not again
+        assert hash(tree) == hash(again)
+        # x700 joins the points before it at 701.5 instead of 701: one split differs
+        d = caterpillar(n)
+        d[:700, 700] = d[700, :700] = 701.5
+        other = decompose(validate_metric(labels, d))
+        assert tree != other
+        ours, theirs = ([node.split_distance for node in t.walk()] for t in (tree, other))
+        assert [k for k in range(len(ours)) if ours[k] != theirs[k]] == [n - 701]  # pre-order
+
     def test_cross_distances_equal_split(self, corpus):
         for space in corpus[:30]:
             tree = decompose(space)
