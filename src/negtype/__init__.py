@@ -31,7 +31,6 @@ from .gap import (
     gap_exact,
     gap_numeric_oracle,
     hat_matrix,
-    m_constant,
 )
 from .glue import (
     GlueClassification,

@@ -15,7 +15,8 @@ over all zero-sum weight vectors a. For strict spaces the gap equals
 over sign vectors z in {-1, 1}^n. This module certifies the type class,
 computes the constant M_p = sup over the sum-one hyperplane of the form,
 builds the hat matrix, and maximizes over sign vectors exhaustively, with an
-independent projected-descent oracle as a cross-check.
+independent sign-flip local search (its own bordered inverse, no hat matrix)
+as a cross-check.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class GapResult:
 @dataclass(frozen=True)
 class OracleResult:
     """Best restart of the numeric oracle; ``iterations`` is the number of
-    descent steps the loop ran (at most ``max_iterations``)."""
+    flip rounds the search ran (at most ``max_iterations``)."""
 
     gamma: float
     minimizer: np.ndarray
@@ -229,13 +230,6 @@ def _check_u_p(entries: np.ndarray, u_p: np.ndarray, m_p: float) -> None:
         raise ToleranceFailure(f"u_p sums to {u_p.sum():.17g}, off 1 by more than limit 1e-10")
 
 
-def m_constant(dp: PDistanceMatrix, cert: NegTypeCertificate | None = None) -> float:
-    """M_p: the supremum of the form over sum-one weights (may be inf)."""
-    if cert is None:
-        cert = certify(dp)
-    return cert.m_p
-
-
 def hat_matrix(dp: PDistanceMatrix, cert: NegTypeCertificate | None = None) -> np.ndarray:
     """The rank-one-corrected negative inverse whose sign maximum gives the gap.
 
@@ -249,7 +243,7 @@ def hat_matrix(dp: PDistanceMatrix, cert: NegTypeCertificate | None = None) -> n
     if dp.n == 1:
         return np.zeros((1, 1))
     inv = spectral.refined_solve(dp.entries, np.eye(dp.n))
-    b = cert.b if cert.b is not None else spectral.refined_solve(dp.entries, np.ones(dp.n))
+    b = cert.b
     hat = np.outer(b, b) / b.sum() - inv
     hat = 0.5 * (hat + hat.T)
     residual = float(np.abs(hat @ np.ones(dp.n)).max())
@@ -381,20 +375,22 @@ def gap_numeric_oracle(
     max_iterations: int = 600,
     cert: NegTypeCertificate | None = None,
 ) -> OracleResult:
-    """Independent gap estimate by projected descent, avoiding the hat matrix.
+    """Independent gap estimate by sign-flip local search, avoiding the hat matrix.
 
-    Minimizes the normalized form -(D_p x | x) / |x|_1^2 over the zero-sum
-    hyperplane: restarts are drawn from a seeded uniform sphere, projected by
-    mean subtraction, renormalized in the 1-norm, and descended together with
-    a backtracking step size per restart. A restart is finished once its step
-    has shrunk to the 1e-17 floor or its gradient norm squared is below
-    1e-24; finished restarts retire in batches (once they are a quarter of
-    those still running), and the loop ends when none is left or after
-    ``max_iterations`` steps. ``iterations`` in the result counts the steps
-    taken. Twice the best minimum found is an upper bound on the gap up to
-    solver tolerance, and converges to it given enough restarts on small
-    spaces. A single point has no nonzero zero-sum vector, so its gap is
-    infinite, as in ``gap_exact``.
+    K is minus the top-left n x n block of the inverse of the bordered matrix
+    [[D_p, 1], [1^T, 0]]; it equals the hat matrix but is computed here, not
+    taken from ``hat_matrix`` or the certificate. Seeded +-1 start vectors z,
+    one per column, climb (K z | z) by best-improvement flips: each round,
+    every column flips the sign with the largest gain K_ii - z_i w_i (w = K z,
+    kept by one rank-one update per flip) when that gain exceeds
+    4 n eps sum|K_ij|. The search stops when no column can improve or after
+    ``max_iterations`` rounds; ``iterations`` in the result counts the rounds
+    that flipped. The best column gives x = K z, mean-subtracted and
+    1-normalized, and gamma = -2 (D_p x | x): a zero-sum x at which the
+    defining inequality is tight, so gamma is an upper bound on the gap
+    whatever the search found, and it equals the gap at the best sign vector.
+    A single point has no nonzero zero-sum vector, so its gap is infinite, as
+    in ``gap_exact``.
     """
     for name, value, least in (
         ("restarts", restarts, 1), ("max_iterations", max_iterations, 0), ("seed", seed, 0)
@@ -405,62 +401,37 @@ def gap_numeric_oracle(
         cert = certify(dp)
     if not cert.strict:
         raise NotStrict("the numeric oracle requires a strict space")
-    entries = dp.entries
     n = dp.n
     if n == 1:
         return OracleResult(gamma=inf, minimizer=np.zeros(1), restarts=restarts, iterations=0)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((restarts, n))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    x -= x.mean(axis=1, keepdims=True)
-    x /= np.abs(x).sum(axis=1, keepdims=True)
-
-    # One restart per column. Rows :n hold x and rows n: hold y = D_p x, so
-    # an accepted step takes x, y and f = -(y | x) from its candidate at once.
-    xy = np.empty((2 * n, restarts))
-    xy[:n] = x.T
-    np.matmul(entries, xy[:n], out=xy[n:])
-    f = -np.einsum("ij,ij->j", xy[n:], xy[:n])
-    step = np.full(restarts, 0.25)
-    mean = np.full(n, 1.0 / n)
-    running = np.arange(restarts)  # the restart held in each column
-    final_x, final_f = np.empty((n, restarts)), np.empty(restarts)
+    bordered = np.ones((n + 1, n + 1))
+    bordered[:n, :n] = dp.entries
+    bordered[n, n] = 0.0
+    k = -np.linalg.inv(bordered)[:n, :n]
+    k = 0.5 * (k + k.T)
+    z = np.random.default_rng(seed).choice((-1.0, 1.0), size=(n, restarts))
+    z[-1, (z == z[0]).all(axis=0)] *= -1.0  # K z = 0 for a constant z
+    w = k @ z
+    diagonal = k.diagonal()[:, None]
+    tol = 4.0 * n * np.finfo(np.float64).eps * float(np.abs(k).sum())
+    columns = np.arange(restarts)
     iterations = 0
     while iterations < max_iterations:
-        x = xy[:n]
-        h = np.sign(x)  # becomes minus half the projected gradient
-        h *= f
-        h += xy[n:]
-        h -= mean @ h
-        grad_sq = 4.0 * np.einsum("ij,ij->j", h, h)
-        done = (grad_sq < 1e-24) | (step <= 1e-17)
-        if 4 * np.count_nonzero(done) >= len(running):
-            final_x[:, running[done]], final_f[running[done]] = x[:, done], f[done]
-            keep = ~done
-            running, step, f, grad_sq = running[keep], step[keep], f[keep], grad_sq[keep]
-            xy, h = np.ascontiguousarray(xy[:, keep]), np.ascontiguousarray(h[:, keep])
-            if not len(running):
-                break
-            x = xy[:n]
+        gain = diagonal - z * w
+        rows = gain.argmax(axis=0)
+        flip = gain[rows, columns] > tol
+        if not flip.any():
+            break
         iterations += 1
-        cand = np.empty_like(xy)
-        c = cand[:n]
-        np.multiply(2.0 * step, h, out=c)
-        c += x
-        c -= mean @ c
-        c /= np.abs(c).sum(axis=0)
-        np.matmul(entries, c, out=cand[n:])
-        f_cand = -np.einsum("ij,ij->j", cand[n:], c)
-        accepted = f_cand < f - 1e-4 * step * grad_sq
-        xy = np.where(accepted, cand, xy)
-        f = np.where(accepted, f_cand, f)
-        step *= np.where(accepted, 1.3, 0.5)
-        np.maximum(step, 1e-17, out=step)
-    final_x[:, running], final_f[running] = xy[:n], f
-    best = int(np.argmin(final_f))
+        rows, cols = rows[flip], columns[flip]
+        w[:, cols] -= 2.0 * k[:, rows] * z[rows, cols]
+        z[rows, cols] *= -1.0
+    x = k @ z[:, int(np.einsum("ij,ij->j", z, w).argmax())]
+    x -= x.mean()
+    x /= np.abs(x).sum()
     return OracleResult(
-        gamma=2.0 * float(final_f[best]),
-        minimizer=final_x[:, best].copy(),
+        gamma=-2.0 * float(x @ dp.entries @ x),
+        minimizer=x,
         restarts=restarts,
         iterations=iterations,
     )

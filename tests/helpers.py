@@ -4,19 +4,15 @@ The seven-point example space (a path-shaped weighted graph and its minimax
 distance matrix) is used throughout; random ultrametric spaces are built as
 random dendrograms with ascending merge heights, which guarantees the strong
 triangle inequality exactly. The ``brute_*`` functions are cubic oracles for
-the ultrametric ball tree; ``reference_oracle`` is the plain projected-descent
-loop that ``gap_numeric_oracle`` must reproduce.
+the ultrametric ball tree.
 """
 
 from __future__ import annotations
 
-from math import inf
-
 import numpy as np
 
 from negtype import FiniteMetricSpace, discrete_space, scale_space, validate_metric
-from negtype.gap import OracleResult
-from negtype.metric import METRIC_RTOL, PDistanceMatrix
+from negtype.metric import METRIC_RTOL
 
 EXAMPLE_LABELS = ("a", "b", "c", "d", "e", "f", "g")
 
@@ -180,50 +176,3 @@ def brute_minimax(vertices, edges) -> np.ndarray:
         d = np.minimum(d, np.maximum(d[:, k, None], d[None, k, :]))
     np.fill_diagonal(d, 0.0)
     return d
-
-
-def reference_oracle(
-    dp: PDistanceMatrix, restarts: int = 200, seed: int = 0, max_iterations: int = 600
-) -> OracleResult:
-    """Projected descent on -(D_p x | x) / |x|_1^2 with every restart stepped
-    until all gradients vanish or ``max_iterations`` is reached; the row-major
-    loop ``gap_numeric_oracle`` replaced, with the same starts and schedule."""
-    entries = dp.entries
-    n = dp.n
-    if n == 1:
-        return OracleResult(gamma=inf, minimizer=np.zeros(1), restarts=restarts, iterations=0)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((restarts, n))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    x -= x.mean(axis=1, keepdims=True)
-    x /= np.abs(x).sum(axis=1, keepdims=True)
-
-    def value(v: np.ndarray) -> np.ndarray:
-        return -np.einsum("ij,ij->i", v @ entries, v)
-
-    f = value(x)
-    step = np.full(restarts, 0.25)
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        grad = -2.0 * (x @ entries) - 2.0 * f[:, None] * np.sign(x)
-        grad -= grad.mean(axis=1, keepdims=True)
-        grad_sq = np.einsum("ij,ij->i", grad, grad)
-        if grad_sq.max() < 1e-24:
-            break
-        cand = x - step[:, None] * grad
-        cand -= cand.mean(axis=1, keepdims=True)
-        cand /= np.abs(cand).sum(axis=1, keepdims=True)
-        f_cand = value(cand)
-        accepted = f_cand < f - 1e-4 * step * grad_sq
-        x[accepted] = cand[accepted]
-        f[accepted] = f_cand[accepted]
-        step[accepted] *= 1.3
-        step[~accepted] *= 0.5
-        np.maximum(step, 1e-17, out=step)
-    best = int(np.argmin(f))
-    return OracleResult(
-        gamma=2.0 * float(f[best]),
-        minimizer=x[best].copy(),
-        restarts=restarts,
-        iterations=iterations,
-    )

@@ -33,7 +33,6 @@ from negtype import (
     glue_type_condition,
     glued_hat_form,
     glued_inverse,
-    m_constant,
     mp_ultrametric_properties,
     p_distance_matrix,
     recursive_gap_bounds,
@@ -145,7 +144,7 @@ def test_criterion_06_glue_algebra():
             right = validate_metric([f"r_{x}" for x in right.labels], right.dist)
             p = float(rng.choice([0.5, 1.0, 2.0]))
             diam = max(left.dist.max(), right.dist.max())
-            m_total = m_constant(dp_of(left, p)) + m_constant(dp_of(right, p))
+            m_total = certify(dp_of(left, p)).m_p + certify(dp_of(right, p)).m_p
             c_floor = max(diam / 2.0, (m_total / 2.0) ** (1.0 / p))
             c = float(c_floor * rng.uniform(1.05, 1.6))
             pairs.append((GlueSpec(left=left, right=right, c=c), p))
