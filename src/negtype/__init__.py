@@ -60,7 +60,7 @@ from .metric import (
     ultrametric_from_graph,
     validate_metric,
 )
-from .spectral import SolveResult, Spectrum, solve_sym, sym_eigen
+from .spectral import Spectrum, sym_eigen
 from .ultrametric import (
     CoterieSet,
     RecursiveGapBounds,

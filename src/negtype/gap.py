@@ -58,7 +58,12 @@ class GapMethod(Enum):
 
 @dataclass(frozen=True)
 class NegTypeCertificate:
-    """Spectral and solvability evidence for the type classification."""
+    """Spectral and solvability evidence for the type classification.
+
+    ``b`` solves D_p b = 1 (least-residual when D_p is singular); ``lu`` is
+    the LU factor of D_p that solved for it, or None when ``certify`` took b
+    from the eigenpairs or found no b. ``hat_matrix`` reuses ``lu``.
+    """
 
     classification: Classification
     m_p: float
@@ -72,6 +77,7 @@ class NegTypeCertificate:
     u_p: np.ndarray | None = None
     witness: np.ndarray | None = None
     boundary_warning: bool = False
+    lu: tuple | None = None  # scipy.linalg.lu_factor(D_p)
 
     @property
     def strict(self) -> bool:
@@ -119,6 +125,12 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
     spectral conditions: negative type needs a single positive eigenvalue and
     a solution b of D_p b = 1 with (b | 1) >= 0; strictness additionally
     needs nonsingularity and (b | 1) > 0.
+
+    D_p is decomposed here once: one eigendecomposition, and one LU factor
+    when b is solved for by LU (ultrametric or nonsingular input), which the
+    certificate keeps for ``hat_matrix``. A singular D_p takes the
+    least-residual b from the eigenpairs, with components under ``zero_tol``
+    dropped.
     """
     n = dp.n
     if n == 1:
@@ -136,88 +148,54 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
     ztol = spectrum.zero_tol
     lam_penult = float(lam[-2])
     lam_max = float(lam[-1])
+    ultrametric = is_ultrametric(dp.source)
+    nonsingular = ultrametric or bool(np.abs(lam).min() > ztol)
+    lu = b = b_dot_one = None
 
-    if is_ultrametric(dp.source):
-        b = spectral.refined_solve(entries, np.ones(n))
+    # negative type needs a single significantly positive eigenvalue and a b
+    if ultrametric or (lam_max > ztol and lam_penult <= ztol):
+        if nonsingular:
+            lu = spectral.lu_factor(entries)
+            b = spectral.refined_solve(entries, np.ones(n), lu)
+        else:
+            vectors = spectrum.eigenvectors
+            inv = np.where(np.abs(lam) < ztol, 0.0, 1.0 / np.where(lam == 0.0, 1.0, lam))
+            b = vectors @ ((vectors.T @ np.ones(n)) * inv)
+            if not float(np.linalg.norm(entries @ b - np.ones(n))) <= ztol * np.sqrt(n):
+                b = None  # 1 is not in the range of D_p, so no valid b exists
+    if b is not None:
         b_dot_one = float(b.sum())
-        if not b_dot_one > 0:
-            raise ToleranceFailure(f"ultrametric (b | 1) = {b_dot_one:.3g} is not above 0")
-        return _strict(entries, lam, ztol, b, b_dot_one)
-
-    if not (lam_max > ztol and lam_penult <= ztol):
-        # more than one significantly positive eigenvalue (or none)
-        return _not_negative_type(entries, lam, ztol)
-
-    nonsingular = bool(np.abs(lam).min() > ztol)
-    if nonsingular:
-        b = spectral.refined_solve(entries, np.ones(n))
-        residual_ok = True
-    else:
-        result = spectral.solve_sym(entries, np.ones(n))
-        b = result.solution
-        residual_ok = result.residual <= ztol * np.sqrt(n)
-    if not residual_ok:
-        # 1 is not in the range of D_p, so no valid b exists
-        return _not_negative_type(entries, lam, ztol)
-    b_dot_one = float(b.sum())
-
-    if b_dot_one < -ztol:
-        return _not_negative_type(entries, lam, ztol, b=b, b_dot_one=b_dot_one)
+    if ultrametric and not b_dot_one > 0:
+        raise ToleranceFailure(f"ultrametric (b | 1) = {b_dot_one:.3g} is not above 0")
 
     strict_spectrum = lam_penult < -ztol and nonsingular
-    if strict_spectrum and b_dot_one > ztol:
-        return _strict(entries, lam, ztol, b, b_dot_one)
-
-    # Negative type but not certifiably strict. Near-zero (b | 1) is the
-    # conservative boundary case; M_p is infinite exactly when (b | 1) ~ 0.
-    boundary = strict_spectrum and abs(b_dot_one) <= ztol
-    if b_dot_one > ztol:
-        m_p, reason = 1.0 / b_dot_one, None
+    if b is None or b_dot_one < -ztol:
+        classification = Classification.NOT_NEGATIVE_TYPE
+        fields = dict(m_p=inf, m_p_reason="not of p-negative type", witness=_f0_witness(entries))
+    elif ultrametric or (strict_spectrum and b_dot_one > ztol):
+        classification = Classification.STRICT_NEGATIVE_TYPE
+        u_p, m_p = b / b_dot_one, 1.0 / b_dot_one
+        _check_u_p(entries, u_p, m_p)
+        fields = dict(m_p=m_p, u_p=u_p)
     else:
-        m_p, reason = inf, "(b | 1) is zero within tolerance"
+        # Negative type but not certifiably strict. Near-zero (b | 1) is the
+        # conservative boundary case; M_p is infinite exactly when (b | 1) ~ 0.
+        classification = Classification.NEGATIVE_TYPE_NON_STRICT
+        fields = dict(boundary_warning=strict_spectrum and abs(b_dot_one) <= ztol)
+        if b_dot_one > ztol:
+            fields.update(m_p=1.0 / b_dot_one)
+        else:
+            fields.update(m_p=inf, m_p_reason="(b | 1) is zero within tolerance")
     return NegTypeCertificate(
-        classification=Classification.NEGATIVE_TYPE_NON_STRICT,
+        classification=classification,
         lambda_penultimate=lam_penult,
         lambda_max=lam_max,
         b=b,
         b_dot_one=b_dot_one,
-        m_p=m_p,
-        m_p_reason=reason,
-        boundary_warning=boundary,
+        lu=lu,
         zero_tol=ztol,
         eigenvalues=lam,
-    )
-
-
-def _strict(entries, lam, ztol, b, b_dot_one):
-    u_p = b / b_dot_one
-    m_p = 1.0 / b_dot_one
-    _check_u_p(entries, u_p, m_p)
-    return NegTypeCertificate(
-        classification=Classification.STRICT_NEGATIVE_TYPE,
-        lambda_penultimate=float(lam[-2]),
-        lambda_max=float(lam[-1]),
-        b=b,
-        b_dot_one=b_dot_one,
-        m_p=m_p,
-        u_p=u_p,
-        zero_tol=ztol,
-        eigenvalues=lam,
-    )
-
-
-def _not_negative_type(entries, lam, ztol, b=None, b_dot_one=None):
-    return NegTypeCertificate(
-        classification=Classification.NOT_NEGATIVE_TYPE,
-        lambda_penultimate=float(lam[-2]),
-        lambda_max=float(lam[-1]),
-        b=b,
-        b_dot_one=b_dot_one,
-        m_p=inf,
-        m_p_reason="not of p-negative type",
-        witness=_f0_witness(entries),
-        zero_tol=ztol,
-        eigenvalues=lam,
+        **fields,
     )
 
 
@@ -242,7 +220,7 @@ def hat_matrix(dp: PDistanceMatrix, cert: NegTypeCertificate | None = None) -> n
         raise NotStrict("hat matrix is defined only for strict p-negative type")
     if dp.n == 1:
         return np.zeros((1, 1))
-    inv = spectral.refined_solve(dp.entries, np.eye(dp.n))
+    inv = spectral.refined_solve(dp.entries, np.eye(dp.n), cert.lu)
     b = cert.b
     hat = np.outer(b, b) / b.sum() - inv
     hat = 0.5 * (hat + hat.T)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import example_space, line_space, ultrametric_corpus
-from negtype import metric
+from negtype import metric, spectral
 
 
 @pytest.fixture(scope="session")
@@ -32,4 +32,23 @@ def spanning_tree_calls(monkeypatch):
         return real(w)
 
     monkeypatch.setattr(metric, "_spanning_tree", counted)
+    return calls
+
+
+@pytest.fixture
+def factorization_calls(monkeypatch):
+    """Calls of ``spectral.sym_eigen`` and ``spectral.lu_factor`` during the test."""
+    calls = {"sym_eigen": 0, "lu_factor": 0}
+
+    def counting(name):
+        real = getattr(spectral, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(spectral, name, counting(name))
     return calls

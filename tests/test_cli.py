@@ -24,21 +24,33 @@ def run(capsys, *argv):
 
 
 class TestAnalyze:
-    @pytest.mark.parametrize("name", ["example_matrix.txt", "line3.txt", "single_point.txt"])
-    def test_one_eigendecomposition_feeds_the_spectrum(self, capsys, monkeypatch, name):
-        real = spectral.sym_eigen
-        calls = []
-
-        def counted(a):
-            calls.append(1)
-            return real(a)
-
-        monkeypatch.setattr(spectral, "sym_eigen", counted)
-        code, out, _ = run(capsys, "analyze", DATA / name, "--json", "--p", "1")
+    @pytest.mark.parametrize(
+        "name, p, lu_calls",
+        [
+            pytest.param("example_matrix.txt", 1.0, 1, id="example_matrix.txt"),
+            pytest.param("line3.txt", 1.0, 1, id="line3.txt"),
+            pytest.param("single_point.txt", 1.0, 0, id="single_point.txt"),
+            pytest.param("line3.txt", 2.0, 1, id="line3.txt-p2-boundary"),
+            pytest.param("collinear6.txt", 2.0, 0, id="collinear6-p2-singular"),
+        ],
+    )
+    def test_one_eigendecomposition_feeds_the_spectrum(
+        self, capsys, tmp_path, factorization_calls, name, p, lu_calls
+    ):
+        path = DATA / name
+        if name == "collinear6.txt":
+            path = tmp_path / name
+            rows = [" ".join(str(abs(i - j)) for j in range(6)) for i in range(6)]
+            path.write_text("6\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code, out, _ = run(capsys, "analyze", path, "--json", "--p", p)
         assert code == 0
-        dp = p_distance_matrix(_load_matrix_space(str(DATA / name)), 1.0)
-        assert json.loads(out)["spectrum"] == [float(v) for v in real(dp.entries).eigenvalues]
-        assert len(calls) == (1 if dp.n > 1 else 0)
+        dp = p_distance_matrix(_load_matrix_space(str(path)), p)
+        assert factorization_calls == {"sym_eigen": 1 if dp.n > 1 else 0, "lu_factor": lu_calls}
+        report = json.loads(out)
+        assert report["spectrum"] == [float(v) for v in spectral.sym_eigen(dp.entries).eigenvalues]
+        expected = "StrictNegativeType" if p == 1.0 else "NegativeTypeNonStrict"
+        assert report["certificate"]["classification"] == expected
+        assert report["certificate"]["boundary_warning"] is (name == "line3.txt" and p == 2.0)
 
     def test_example_matrix(self, capsys):
         code, out, err = run(capsys, "analyze", DATA / "example_matrix.txt", "--p", "1")
@@ -199,6 +211,11 @@ class TestUltra:
         assert code == 0
         assert "[2.5, 8.25]" in out
         assert "gamma in [0.121212121212, 0.4]" in out
+
+    def test_bounds_factor_the_matrix_once(self, capsys, factorization_calls):
+        code, _, _ = run(capsys, "ultra", "bounds", DATA / "example_graph.txt", "--json")
+        assert code == 0
+        assert factorization_calls == {"sym_eigen": 1, "lu_factor": 1}
 
     def test_bounds_json(self, capsys):
         code, out, _ = run(

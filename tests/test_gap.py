@@ -20,7 +20,6 @@ from negtype import (
     hat_matrix,
     p_distance_matrix,
     scale_space,
-    solve_sym,
     validate_metric,
 )
 from negtype import gap, spectral
@@ -44,6 +43,11 @@ def boundary_space():
         ]
     )
     return validate_metric(["a", "b", "c", "d"], d)
+
+
+def collinear_space(n=6):
+    x = np.arange(n, dtype=float)
+    return validate_metric([f"x{i}" for i in range(n)], np.abs(x[:, None] - x[None, :]))
 
 
 class TestCertify:
@@ -100,15 +104,30 @@ class TestCertify:
 
     def test_b_dot_one_independent_of_solution_choice(self, boundary_space):
         # the compared value is invariant under which solution the solver picks
-        dp = dp_of(boundary_space)
-        base = solve_sym(dp.entries, np.ones(4))
-        assert base.singular
+        base = certify(dp_of(boundary_space))
+        assert np.abs(base.eigenvalues).min() < base.zero_tol
         for perm in ([2, 3, 0, 1], [1, 3, 0, 2], [3, 2, 1, 0]):
-            p = np.array(perm)
-            permuted = dp.entries[np.ix_(p, p)]
-            other = solve_sym(permuted, np.ones(4))
-            lhs, rhs = base.solution.sum(), other.solution.sum()
+            permuted = validate_metric(
+                [boundary_space.labels[i] for i in perm],
+                boundary_space.dist[np.ix_(perm, perm)],
+            )
+            other = certify(dp_of(permuted))
+            lhs, rhs = base.b_dot_one, other.b_dot_one
             assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(lhs))
+
+    @pytest.mark.parametrize("which", ["boundary", "collinear"])
+    def test_singular_b_is_least_residual_off_the_null_space(self, boundary_space, which):
+        # a singular D_p is solved from its eigenpairs, without an LU factor
+        space, p = (boundary_space, 1.0) if which == "boundary" else (collinear_space(), 2.0)
+        dp = dp_of(space, p)
+        cert = certify(dp)
+        assert cert.classification is Classification.NEGATIVE_TYPE_NON_STRICT
+        assert cert.lu is None
+        spectrum = spectral.sym_eigen(dp.entries)
+        null = spectrum.eigenvectors[:, np.abs(spectrum.eigenvalues) < cert.zero_tol]
+        assert null.shape[1] > 0
+        assert np.linalg.norm(dp.entries @ cert.b - 1.0) <= cert.zero_tol * np.sqrt(dp.n)
+        assert np.abs(null.T @ cert.b).max() <= 1e-12 * max(1.0, np.linalg.norm(cert.b))
 
     def test_certificate_thresholds_at_moderate_exponents(self, corpus):
         # the spectral evidence in a strict certificate clears the tolerance
@@ -125,7 +144,9 @@ class TestCertify:
     def test_tolerance_failure_states_value_and_limit(self, example78, monkeypatch):
         solve = spectral.refined_solve
         monkeypatch.setattr(
-            spectral, "refined_solve", lambda a, rhs: solve(a, rhs) * (1 + 1e-4 * np.arange(len(rhs)))
+            spectral,
+            "refined_solve",
+            lambda a, rhs, lu=None: solve(a, rhs, lu) * (1 + 1e-4 * np.arange(len(rhs))),
         )
         dp = dp_of(example78)
         b = spectral.refined_solve(dp.entries, np.ones(dp.n))
@@ -185,6 +206,18 @@ class TestHatMatrix:
     def test_requires_strict(self, line3):
         with pytest.raises(NotStrict):
             hat_matrix(dp_of(line3, 2.0))
+
+    def test_reuses_the_certificate_factor(self, example78, monkeypatch):
+        dp = dp_of(example78)
+        cert = certify(dp)
+        assert cert.lu is not None
+        expected = hat_matrix(dp, cert)
+
+        def disabled(*args, **kwargs):
+            raise AssertionError("hat_matrix must not factor D_p again")
+
+        monkeypatch.setattr(spectral, "lu_factor", disabled)
+        assert np.array_equal(hat_matrix(dp, cert), expected)
 
     def test_bitwise_equal_to_refined_explicit_inverse(self, example78):
         # Reference: LU inverse of D_p refined by up to three residual sweeps.

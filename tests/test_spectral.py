@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor
 
-from negtype import discrete_space, p_distance_matrix, scale_space, solve_sym, sym_eigen
+from negtype import discrete_space, p_distance_matrix, scale_space, sym_eigen
+from negtype.spectral import refined_solve
 from negtype.errors import DimensionMismatch, NotSymmetric
 
 
@@ -31,6 +33,11 @@ def test_two_point_closed_form():
 def test_not_symmetric():
     with pytest.raises(NotSymmetric):
         sym_eigen([[0.0, 1.0], [2.0, 0.0]])
+
+
+def test_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        sym_eigen(np.ones((3, 4)))
 
 
 def test_scaled_discrete_spectrum_closed_form():
@@ -89,32 +96,17 @@ def test_eigenpair_residuals():
 class TestSolve:
     def test_all_ones_minus_identity(self):
         a = np.ones((3, 3)) - np.eye(3)
-        result = solve_sym(a, np.ones(3))
-        assert not result.singular
         # verify by direct multiplication: (J - I) @ (0.5 * ones) = ones
         assert np.allclose(a @ (0.5 * np.ones(3)), np.ones(3))
-        assert np.allclose(result.solution, 0.5 * np.ones(3), atol=1e-12)
+        assert np.allclose(refined_solve(a, np.ones(3)), 0.5 * np.ones(3), atol=1e-12)
 
     def test_identity(self):
-        result = solve_sym(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        assert np.array_equal(result.solution, [1.0, 0.0, 0.0])
+        assert np.array_equal(refined_solve(np.eye(3), np.array([1.0, 0.0, 0.0])), [1.0, 0.0, 0.0])
 
     def test_swap_matrix(self):
-        result = solve_sym([[0.0, 1.0], [1.0, 0.0]], np.ones(2))
-        assert np.allclose(result.solution, np.ones(2), atol=1e-14)
-        assert abs(result.solution.sum() - 2.0) <= 1e-14
-
-    def test_singular_flag_and_least_residual(self):
-        a = np.ones((3, 3))
-        result = solve_sym(a, np.ones(3))
-        assert result.singular
-        # least-squares solution of J x = 1 is x = ones/3
-        assert np.allclose(result.solution, np.ones(3) / 3, atol=1e-12)
-        assert result.residual <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            solve_sym(np.eye(3), np.ones(4))
+        solution = refined_solve(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2))
+        assert np.allclose(solution, np.ones(2), atol=1e-14)
+        assert abs(solution.sum() - 2.0) <= 1e-14
 
     @settings(deadline=None, max_examples=40, derandomize=True)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 20), spd=st.booleans())
@@ -123,7 +115,10 @@ class TestSolve:
         a = rng.standard_normal((n, n))
         a = a @ a.T + np.eye(n) if spd else 0.5 * (a + a.T) + 0.1 * np.eye(n)
         rhs = rng.standard_normal(n)
-        result = solve_sym(a, rhs)
-        if not result.singular:
-            err = np.linalg.norm(a @ result.solution - rhs)
+        solution = refined_solve(a, rhs)
+        # a factor the caller already holds gives the same bits
+        assert np.array_equal(refined_solve(a, rhs, lu_factor(a)), solution)
+        spectrum = sym_eigen(a)
+        if np.abs(spectrum.eigenvalues).min() >= spectrum.zero_tol:
+            err = np.linalg.norm(a @ solution - rhs)
             assert err <= 1e-9 * max(1.0, np.linalg.norm(rhs))
