@@ -21,6 +21,7 @@ from . import ultrametric as ultra_mod
 from .errors import NegTypeError, ToleranceFailure
 from .metric import (
     FiniteMetricSpace,
+    _content_lines,
     is_ultrametric,
     p_distance_matrix,
     parse_edge_list_text,
@@ -44,17 +45,12 @@ def _load_matrix_space(path: str) -> FiniteMetricSpace:
 
 
 def _load_ultra_space(path: str) -> FiniteMetricSpace:
-    """Auto-detect matrix versus edge-list format for the ultra commands."""
+    """Read a matrix file when the first line that is neither blank nor a
+    comment is ``labels: ...`` or a lone count, and an edge list otherwise."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    first = ""
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            first = line
-            break
-    tokens = first.split()
-    if first.startswith("labels:") or len(tokens) == 1:
+    _, first = next(_content_lines(text), (0, ""))
+    if first.startswith("labels:") or len(first.split()) == 1:
         labels, matrix = parse_matrix_text(text)
         return validate_metric(labels, matrix)
     return ultrametric_from_graph(parse_edge_list_text(text))
@@ -82,8 +78,7 @@ def _certificate_summary(cert: gap_mod.NegTypeCertificate) -> dict:
     }
 
 
-def cmd_analyze(args) -> int:
-    started = time.perf_counter()
+def cmd_analyze(args) -> tuple[dict, int]:
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
     space = _load_matrix_space(args.file)
@@ -150,10 +145,7 @@ def cmd_analyze(args) -> int:
         }
     else:
         report["xi"] = None
-
-    report["timing_seconds"] = time.perf_counter() - started
-    _emit(report, args.json)
-    return exit_code
+    return report, exit_code
 
 
 def _render_analyze(report: dict, out) -> None:
@@ -217,11 +209,9 @@ def _render_analyze(report: dict, out) -> None:
             f"  (mode {xi['exponent_mode']})",
             file=out,
         )
-    print(f"timing: {report['timing_seconds']:.3f} s", file=out)
 
 
-def cmd_glue(args) -> int:
-    started = time.perf_counter()
+def cmd_glue(args) -> tuple[dict, int]:
     left = _load_matrix_space(args.file1)
     right = _load_matrix_space(args.file2)
     spec = glue_mod.GlueSpec(left=left, right=right, c=args.c)
@@ -259,10 +249,7 @@ def cmd_glue(args) -> int:
     if glued.n <= args.cap and exit_code == EXIT_OK:
         result = gap_mod.gap_exact(p_distance_matrix(glued, args.p), cap=args.cap)
         report["glued_gamma_exact"] = result.gamma
-
-    report["timing_seconds"] = time.perf_counter() - started
-    _emit(report, args.json)
-    return exit_code
+    return report, exit_code
 
 
 def _render_glue(report: dict, out) -> None:
@@ -290,11 +277,9 @@ def _render_glue(report: dict, out) -> None:
         )
     if "glued_gamma_exact" in report:
         print(f"exact glued gap: {_fmt(report['glued_gamma_exact'])}", file=out)
-    print(f"timing: {report['timing_seconds']:.3f} s", file=out)
 
 
-def cmd_ultra(args) -> int:
-    started = time.perf_counter()
+def cmd_ultra(args) -> tuple[dict, int]:
     space = _load_ultra_space(args.file)
     if not is_ultrametric(space):
         raise NegTypeError("input space is not ultrametric")
@@ -322,20 +307,15 @@ def cmd_ultra(args) -> int:
         if space.n <= args.cap:
             dp = p_distance_matrix(space, args.p)
             report["gamma_exact"] = gap_mod.gap_exact(dp, cap=args.cap).gamma
-    elif args.subcommand == "coteries":
+    else:  # coteries or asymptotic
         cots = ultra_mod.coteries(space)
         report["alpha"] = cots.alpha
         report["coteries"] = [list(ball) for ball in cots.coteries]
-        report["e"] = cots.e
-    else:  # asymptotic
-        cots = ultra_mod.coteries(space)
-        report["alpha"] = cots.alpha
-        report["coteries"] = [list(ball) for ball in cots.coteries]
-        report["limit"] = ultra_mod.asymptotic_gap_limit(space)
-
-    report["timing_seconds"] = time.perf_counter() - started
-    _emit(report, args.json)
-    return EXIT_OK
+        if args.subcommand == "coteries":
+            report["e"] = cots.e
+        else:
+            report["limit"] = ultra_mod.asymptotic_gap_limit(space)
+    return report, EXIT_OK
 
 
 def _bounds_report(rec: ultra_mod.RecursiveGapBounds) -> dict:
@@ -406,22 +386,6 @@ def _render_ultra(report: dict, out) -> None:
             print(f"  coterie: {{{' '.join(ball)}}}", file=out)
         if "limit" in report:
             print(f"normalized gap limit: {_fmt(report['limit'])}", file=out)
-    print(f"timing: {report['timing_seconds']:.3f} s", file=out)
-
-
-_RENDERERS = {
-    "analyze": _render_analyze,
-    "glue": _render_glue,
-}
-
-
-def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2))
-        return
-    command = report["command"].split()[0]
-    renderer = _RENDERERS.get(command, _render_ultra)
-    renderer(report, sys.stdout)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -464,9 +428,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {"analyze": cmd_analyze, "glue": cmd_glue, "ultra": cmd_ultra}
+    handler, render = {
+        "analyze": (cmd_analyze, _render_analyze),
+        "glue": (cmd_glue, _render_glue),
+        "ultra": (cmd_ultra, _render_ultra),
+    }[args.command]
     try:
-        return handlers[args.command](args)
+        started = time.perf_counter()
+        report, exit_code = handler(args)
+        report["timing_seconds"] = time.perf_counter() - started
+        if args.json:
+            print(json.dumps(report, indent=2))
+        else:
+            render(report, sys.stdout)
+            print(f"timing: {report['timing_seconds']:.3f} s")
+        return exit_code
     except ToleranceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE_FAILURE

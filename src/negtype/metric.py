@@ -19,9 +19,9 @@ triple; rounding is monotone, so the triangle slack is at least
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,11 +99,12 @@ class SpaceStats:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Connected edge-weighted graph with strictly positive weights."""
+    """Vertex labels and ``(u, v, weight)`` edges. ``build_graph`` checks the
+    edges; ``ultrametric_from_graph`` checks that every endpoint is a vertex
+    and that the graph is connected."""
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, float], ...]
-    connected: bool = field(default=False)
 
 
 def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
@@ -208,11 +209,12 @@ class Ball(NamedTuple):
 def _spanning_tree(w: np.ndarray) -> tuple[list[tuple[float, int, int]], np.ndarray]:
     """Minimum spanning tree and subdominant (minimax) ultrametric of weights.
 
-    ``w`` is symmetric, ``inf`` means no edge, the diagonal is ignored, and
-    the graph must be connected. A dense Prim pass lists the tree edges as
-    ``(weight, parent, vertex)``; the minimax row of each vertex it reaches is
-    the larger of its tree edge and its parent's row. The subdominant matrix
-    has a zero diagonal and off it only copies entries of ``w``. O(n^2).
+    ``w`` is symmetric, ``inf`` means no edge and the diagonal is ignored. A
+    dense Prim pass lists the tree edges as ``(weight, parent, vertex)``; the
+    minimax row of each vertex it reaches is the larger of its tree edge and
+    its parent's row. The subdominant matrix has a zero diagonal and off it
+    only copies entries of ``w``. O(n^2). Raises ``DisconnectedGraph`` when a
+    step finds no edge to the vertices not yet reached.
     """
     n = w.shape[0]
     sub = np.full((n, n), -np.inf)  # -inf, not 0: weights may be negative
@@ -224,6 +226,8 @@ def _spanning_tree(w: np.ndarray) -> tuple[list[tuple[float, int, int]], np.ndar
     for _ in range(n - 1):
         v = int(key.argmin())
         h, p = float(key[v]), int(parent[v])
+        if h == np.inf:
+            raise DisconnectedGraph("minimax distances need a connected graph")
         np.maximum(sub[p], h, out=sub[v])  # exact on reached columns; later rows overwrite the rest
         sub[:, v] = sub[v]
         sub[v, v] = -np.inf
@@ -294,20 +298,7 @@ def build_graph(
         edge_list.append((u, v, w))
     if not order:
         raise ValueError("graph has no vertices")
-    connected = _count_components(order, edge_list) == 1
-    return WeightedGraph(tuple(order), tuple(edge_list), connected)
-
-
-def _count_components(vertices: list[str], edges: list[tuple[str, str, float]]) -> int:
-    index = {v: i for i, v in enumerate(vertices)}
-    up = list(range(len(vertices)))
-    comps = len(vertices)
-    for u, v, _ in edges:
-        ru, rv = _find(up, index[u]), _find(up, index[v])
-        if ru != rv:
-            up[ru] = rv
-            comps -= 1
-    return comps
+    return WeightedGraph(tuple(order), tuple(edge_list))
 
 
 def _find(up: list[int], a: int) -> int:
@@ -323,16 +314,22 @@ def ultrametric_from_graph(graph: WeightedGraph) -> FiniteMetricSpace:
 
     d(u, v) is the minimum over all walks joining u and v of the largest edge
     weight on the walk: the subdominant ultrametric of the matrix of lightest
-    edge weights, read along its minimum spanning tree.
+    edge weights, read along its minimum spanning tree. Raises ``ValueError``
+    for a graph without vertices or an edge whose endpoint is not a vertex,
+    and ``DisconnectedGraph`` when the spanning tree pass cannot reach every
+    vertex.
     """
-    if not graph.connected:
-        raise DisconnectedGraph("minimax distances need a connected graph")
     n = len(graph.vertices)
+    if not n:
+        raise ValueError("graph has no vertices")
     index = {v: i for i, v in enumerate(graph.vertices)}
     w = np.full((n, n), np.inf)
-    for u, v, weight in graph.edges:
-        i, j = index[u], index[v]
-        w[i, j] = w[j, i] = min(weight, w[i, j])
+    try:
+        for u, v, weight in graph.edges:
+            i, j = index[u], index[v]
+            w[i, j] = w[j, i] = min(weight, w[i, j])
+    except KeyError as exc:
+        raise ValueError(f"edge endpoint {exc.args[0]!r} is not a graph vertex") from None
     space = validate_metric(graph.vertices, _spanning_tree(w)[1])
     _, excess, limit = space._ultrametric
     if excess > limit:
@@ -345,6 +342,15 @@ def ultrametric_from_graph(graph: WeightedGraph) -> FiniteMetricSpace:
 
 # ------------------------------------------------------------- text formats ----
 
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each line that is neither blank nor a comment, stripped, with its
+    number among all lines (from 1). ``#`` starts a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_matrix_text(text: str) -> tuple[list[str], np.ndarray]:
     """Parse the matrix file format.
 
@@ -354,10 +360,7 @@ def parse_matrix_text(text: str) -> tuple[list[str], np.ndarray]:
     labels: list[str] | None = None
     n: int | None = None
     rows: list[list[float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if line.startswith("labels:"):
             if labels is not None:
                 raise ParseError(lineno, "duplicate labels line")
@@ -394,10 +397,7 @@ def parse_matrix_text(text: str) -> tuple[list[str], np.ndarray]:
 def parse_edge_list_text(text: str) -> WeightedGraph:
     """Parse ``u v w`` edge lines; ``#`` starts a comment."""
     edges: list[tuple[str, str, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(lineno, f"expected 'u v w', got {line!r}")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 import negtype
 from helpers import caterpillar, random_euclidean
 from negtype import p_distance_matrix, spectral
-from negtype.cli import _load_matrix_space, main
+from negtype.cli import _load_matrix_space, _load_ultra_space, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -258,6 +259,30 @@ class TestUltra:
         report = json.loads(out)
         assert report["bounds"]["gamma_lower"] <= report["gamma_exact"]
 
+    @pytest.mark.parametrize(
+        "text, labels, dist",
+        [
+            pytest.param("# head\n\n  # c\nlabels: a b\n2\n0 3\n3 0\n", ("a", "b"),
+                         [[0, 3], [3, 0]], id="labels-line"),
+            pytest.param("# head\n\n2 # count\n0 3\n3 0\n", ("x1", "x2"),
+                         [[0, 3], [3, 0]], id="count-line"),
+            pytest.param("# head\n\na b 3 # edge\n\nb c 1\n", ("a", "b", "c"),
+                         [[0, 3, 3], [3, 0, 1], [3, 1, 0]], id="edge-list"),
+        ],
+    )
+    def test_format_is_read_from_the_first_content_line(self, tmp_path, text, labels, dist):
+        path = tmp_path / "space.txt"
+        path.write_text(text)
+        space = _load_ultra_space(str(path))
+        assert space.labels == labels
+        assert np.array_equal(space.dist, dist)
+
+    def test_comment_only_file_is_an_empty_edge_list(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# nothing\n\n   # here\n")
+        code, out, err = run(capsys, "ultra", "decompose", path)
+        assert (code, out, err) == (1, "", "error: line 0: edge list is empty\n")
+
     def test_decompose_deeper_than_the_recursion_limit(self, capsys, tmp_path):
         n = sys.getrecursionlimit() + 100
         path = tmp_path / "caterpillar.txt"
@@ -267,6 +292,112 @@ class TestUltra:
         assert code == 0
         assert f"decomposition: (split={n} (split={n - 1} " in out
         assert out.count("  split at ") == n - 2
+
+
+ANALYZE_HEAD = """\
+points: 7  labels: a b c d e f g
+diameter 4  min distance 1  ratio 4
+exponent p = 1
+classification: StrictNegativeType
+lambda[n-1] = -1  lambda[n] = 17.5117373824
+M_p = 2.67755102041
+"""
+ULTRA_HEAD = "points: 7  labels: a b c d e f g\n"
+COTERIES = """\
+minimum distance alpha = 1
+  coterie: {c d}
+  coterie: {e f}
+"""
+TEXT_REPORTS = [
+    pytest.param(
+        ["analyze", "example_matrix.txt", "--oracle"], 0,
+        ANALYZE_HEAD + """\
+gap (exact, SignEnumeration): gamma = 0.387045813586  beta = 5.16734693878
+maximizing signs: + - - + - + -
+oracle cross-check: 0.387045813586 (200 restarts)
+exponent enlargement xi = 0.0923651057655  (mode product)
+""",
+        id="analyze-exact",
+    ),
+    pytest.param(
+        ["analyze", "example_matrix.txt", "--cap", "5"], 0,
+        ANALYZE_HEAD
+        + "gap bounds: [0.272508616533, 0.833333333333]  (7 points exceed the enumeration cap 5)\n",
+        id="analyze-bounds",
+    ),
+    pytest.param(
+        ["analyze", "line3.txt", "--p", "3"], 2,
+        """\
+points: 3  labels: u v w
+diameter 2  min distance 1  ratio 2
+exponent p = 3
+classification: NotNegativeType
+lambda[n-1] = -0.242640687119  lambda[n] = 8.24264068712
+M_p = inf
+gap: undefined (not of p-negative type)
+witness (zero-sum, positive form value 0.5): -0.25 0.5 -0.25
+""",
+        id="analyze-witness",
+    ),
+    pytest.param(
+        ["glue", "x2_ab.txt", "x2_cd.txt", "--c", "1"], 0,
+        """\
+glued 2 + 2 points at c = 1, p = 1
+classification: Strict  margin = 1
+M_p: left 0.5  right 0.5
+gap bounds: [0.25, 0.5]  alpha = 2
+exact glued gap: 0.5
+""",
+        id="glue",
+    ),
+    pytest.param(
+        ["ultra", "decompose", "example_graph.txt"], 0,
+        ULTRA_HEAD + """\
+decomposition: (split=4 (split=3 (split=2 [a b @ 2] [c d @ 1]) [e f @ 1]) [g @ 0])
+  split at 4: {a b c d e f} | {g}
+  split at 3: {a b c d} | {e f}
+  split at 2: {a b} | {c d}
+""",
+        id="ultra-decompose",
+    ),
+    pytest.param(
+        ["ultra", "bounds", "example_graph.txt"], 0,
+        ULTRA_HEAD + """\
+  block {a b} at 2: gamma = 2, reciprocal 0.5
+  block {c d} at 1: gamma = 1, reciprocal 1
+  block {e f} at 1: gamma = 1, reciprocal 1
+  split at 4 (7 points): correction 1.75 (exact 0.363636363636)
+  split at 3 (6 points): correction 2 (exact 0.5)
+  split at 2 (4 points): correction 2 (exact 0.8)
+reciprocal gap in [2.5, 8.25]
+gamma in [0.121212121212, 0.4]
+exact gamma: 0.387045813586
+""",
+        id="ultra-bounds",
+    ),
+    pytest.param(
+        ["ultra", "coteries", "example_graph.txt"], 0, ULTRA_HEAD + COTERIES,
+        id="ultra-coteries",
+    ),
+    pytest.param(
+        ["ultra", "asymptotic", "example_graph.txt"], 0,
+        ULTRA_HEAD + COTERIES + "normalized gap limit: 0.5\n",
+        id="ultra-asymptotic",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, text", TEXT_REPORTS)
+def test_text_report_and_json_timing_last(capsys, argv, exit_code, text):
+    argv = [DATA / a if a.endswith(".txt") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (exit_code, "")
+    body, timing = out.rsplit("timing: ", 1)
+    assert body == text
+    assert re.fullmatch(r"\d+\.\d{3} s\n", timing)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == exit_code
+    assert list(json.loads(out))[-1] == "timing_seconds"
 
 
 class TestSinglePoint:

@@ -25,6 +25,7 @@ from helpers import (
 )
 from negtype import metric
 from negtype import (
+    WeightedGraph,
     build_graph,
     certify,
     coteries,
@@ -333,6 +334,26 @@ class TestMinimaxGraph:
         with pytest.raises(DisconnectedGraph):
             ultrametric_from_graph(graph)
 
+    def test_directly_built_graph(self):
+        graph = WeightedGraph(("a", "b", "c"), (("a", "b", 2.0), ("b", "c", 1.0), ("a", "c", 5.0)))
+        space = ultrametric_from_graph(graph)
+        assert space.labels == ("a", "b", "c")
+        assert np.array_equal(space.dist, [[0, 2, 2], [2, 0, 1], [2, 1, 0]])
+
+    @pytest.mark.parametrize(
+        "vertices, edges, error, message",
+        [
+            pytest.param(("a", "b", "c"), (("a", "b", 1.0),), DisconnectedGraph,
+                         "need a connected graph", id="isolated-vertex"),
+            pytest.param(("a", "b"), (("a", "b", 1.0), ("b", "x", 1.0)), ValueError,
+                         "edge endpoint 'x' is not a graph vertex", id="unknown-endpoint"),
+            pytest.param((), (), ValueError, "graph has no vertices", id="no-vertices"),
+        ],
+    )
+    def test_directly_built_graph_is_checked(self, vertices, edges, error, message):
+        with pytest.raises(error, match=message):
+            ultrametric_from_graph(WeightedGraph(vertices, edges))
+
     def test_matches_floyd_warshall_oracle(self):
         rng = np.random.default_rng(8)
         for k in range(60):
@@ -405,7 +426,23 @@ class TestParsers:
     def test_edge_list(self):
         graph = parse_edge_list_text("# c\na b 2\nb c 1.5\n")
         assert graph.vertices == ("a", "b", "c")
-        assert graph.connected
+        assert ultrametric_from_graph(graph).n == 3
+
+    @pytest.mark.parametrize(
+        "parse, text, line, message",
+        [
+            pytest.param(parse_matrix_text,
+                         "# head\n\nlabels: a b c\n  # c\n3\n\n0 1 1\n1 x 1 # c\n1 1 0\n",
+                         8, "bad matrix row: '1 x 1'", id="matrix"),
+            pytest.param(parse_edge_list_text, "# head\n\na b 1\n   \n# c\nb c # w\n",
+                         6, "expected 'u v w', got 'b c'", id="edge-list"),
+        ],
+    )
+    def test_error_line_counts_comment_and_blank_lines(self, parse, text, line, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {message}"
 
     def test_edge_list_bad_weight(self):
         with pytest.raises(ParseError):
