@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from math import isinf
 
 from . import bounds as bounds_mod
@@ -388,7 +389,10 @@ def _render_ultra(report: dict, out) -> None:
             print(f"normalized gap limit: {_fmt(report['limit'])}", file=out)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    ``main`` call after it; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="negtype",
         description="Analyze finite metric spaces for (strict) p-negative type.",

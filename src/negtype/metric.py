@@ -99,12 +99,20 @@ class SpaceStats:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Vertex labels and ``(u, v, weight)`` edges. ``build_graph`` checks the
-    edges; ``ultrametric_from_graph`` checks that every endpoint is a vertex
-    and that the graph is connected."""
+    """Vertex labels and ``(u, v, weight)`` edges. Construction rejects a
+    self-loop and a weight that is not positive (NaN included);
+    ``ultrametric_from_graph`` checks that every endpoint is a vertex and that
+    the graph is connected."""
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str, float], ...]
+
+    def __post_init__(self) -> None:
+        for u, v, w in self.edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u!r}")
+            if not w > 0:
+                raise ValueError(f"edge ({u}, {v}) has nonpositive weight {w}")
 
 
 def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
@@ -275,7 +283,9 @@ def build_graph(
     edges: Iterable[tuple[str, str, float]],
     vertices: Iterable[str] | None = None,
 ) -> WeightedGraph:
-    """Assemble a weighted graph; vertices default to first-appearance order."""
+    """Assemble a weighted graph; vertices default to first-appearance order.
+    Endpoints become strings and weights floats; ``WeightedGraph`` checks
+    the edges."""
     edge_list: list[tuple[str, str, float]] = []
     seen: dict[str, int] = {}
     order: list[str] = []
@@ -287,10 +297,6 @@ def build_graph(
                 order.append(v)
     for u, v, w in edges:
         u, v, w = str(u), str(v), float(w)
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u!r}")
-        if not w > 0:
-            raise ValueError(f"edge ({u}, {v}) has nonpositive weight {w}")
         for x in (u, v):
             if x not in seen:
                 seen[x] = len(order)
@@ -351,15 +357,29 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def _parse_row(tokens: list[str]) -> np.ndarray:
+    """The tokens as float64. When at most half of them are distinct, as in
+    the rows of an ultrametric, each distinct token is converted once."""
+    distinct = set(tokens)
+    if 2 * len(distinct) <= len(tokens):
+        values = {tok: float(tok) for tok in distinct}
+        converted = map(values.__getitem__, tokens)
+    else:
+        converted = map(float, tokens)
+    return np.fromiter(converted, np.float64, len(tokens))
+
+
 def parse_matrix_text(text: str) -> tuple[list[str], np.ndarray]:
     """Parse the matrix file format.
 
     An optional ``labels: a b c ...`` line may precede or follow the count
     line; then come ``n`` whitespace-separated rows. ``#`` starts a comment.
+    Rows are stacked only once all are read, so a huge count fails on the
+    first short row instead of allocating the matrix.
     """
     labels: list[str] | None = None
     n: int | None = None
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     for lineno, line in _content_lines(text):
         if line.startswith("labels:"):
             if labels is not None:
@@ -375,7 +395,7 @@ def parse_matrix_text(text: str) -> tuple[list[str], np.ndarray]:
                 raise ParseError(lineno, "point count must be at least 1")
             continue
         try:
-            row = [float(tok) for tok in line.split()]
+            row = _parse_row(line.split())
         except ValueError:
             raise ParseError(lineno, f"bad matrix row: {line!r}") from None
         if len(row) != n:
@@ -391,7 +411,7 @@ def parse_matrix_text(text: str) -> tuple[list[str], np.ndarray]:
         labels = [f"x{i + 1}" for i in range(n)]
     elif len(labels) != n:
         raise ParseError(0, f"{len(labels)} labels for {n} points")
-    return labels, np.asarray(rows)
+    return labels, np.array(rows)
 
 
 def parse_edge_list_text(text: str) -> WeightedGraph:

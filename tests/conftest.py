@@ -52,3 +52,17 @@ def factorization_calls(monkeypatch):
     for name in calls:
         monkeypatch.setattr(spectral, name, counting(name))
     return calls
+
+
+@pytest.fixture
+def float_calls(monkeypatch):
+    """Arguments of the ``float`` calls made in ``negtype.metric`` during the
+    test, recorded through a module global that shadows the builtin."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return float(x)
+
+    monkeypatch.setattr(metric, "float", counted, raising=False)
+    return calls

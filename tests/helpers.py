@@ -4,7 +4,8 @@ The seven-point example space (a path-shaped weighted graph and its minimax
 distance matrix) is used throughout; random ultrametric spaces are built as
 random dendrograms with ascending merge heights, which guarantees the strong
 triangle inequality exactly. The ``brute_*`` functions are cubic oracles for
-the ultrametric ball tree.
+the ultrametric ball tree, apart from ``brute_parse_matrix_text``, a
+reference matrix-file reader that converts every token.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from negtype import FiniteMetricSpace, discrete_space, scale_space, validate_metric
-from negtype.metric import METRIC_RTOL
+from negtype.errors import ParseError
+from negtype.metric import METRIC_RTOL, _content_lines
 
 EXAMPLE_LABELS = ("a", "b", "c", "d", "e", "f", "g")
 
@@ -176,3 +178,44 @@ def brute_minimax(vertices, edges) -> np.ndarray:
         d = np.minimum(d, np.maximum(d[:, k, None], d[None, k, :]))
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def brute_parse_matrix_text(text: str) -> tuple[list[str], np.ndarray]:
+    """Reference matrix-file reader: ``float()`` on every token, rows kept as
+    lists of floats until the end. Same errors, lines and messages as
+    ``parse_matrix_text``."""
+    labels: list[str] | None = None
+    n: int | None = None
+    rows: list[list[float]] = []
+    for lineno, line in _content_lines(text):
+        if line.startswith("labels:"):
+            if labels is not None:
+                raise ParseError(lineno, "duplicate labels line")
+            labels = line[len("labels:"):].split()
+            continue
+        if n is None:
+            try:
+                n = int(line)
+            except ValueError:
+                raise ParseError(lineno, f"expected point count, got {line!r}") from None
+            if n < 1:
+                raise ParseError(lineno, "point count must be at least 1")
+            continue
+        try:
+            row = [float(tok) for tok in line.split()]
+        except ValueError:
+            raise ParseError(lineno, f"bad matrix row: {line!r}") from None
+        if len(row) != n:
+            raise ParseError(lineno, f"expected {n} entries, found {len(row)}")
+        rows.append(row)
+        if len(rows) > n:
+            raise ParseError(lineno, "more rows than the declared count")
+    if n is None:
+        raise ParseError(0, "missing point count")
+    if len(rows) != n:
+        raise ParseError(0, f"expected {n} rows, found {len(rows)}")
+    if labels is None:
+        labels = [f"x{i + 1}" for i in range(n)]
+    elif len(labels) != n:
+        raise ParseError(0, f"{len(labels)} labels for {n} points")
+    return labels, np.asarray(rows)

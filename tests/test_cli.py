@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import pytest
 import negtype
 from helpers import caterpillar, random_euclidean
 from negtype import p_distance_matrix, spectral
-from negtype.cli import _load_matrix_space, _load_ultra_space, main
+from negtype.cli import _build_parser, _load_matrix_space, _load_ultra_space, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -398,6 +399,31 @@ def test_text_report_and_json_timing_last(capsys, argv, exit_code, text):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == exit_code
     assert list(json.loads(out))[-1] == "timing_seconds"
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    parsers = []
+    real = argparse.ArgumentParser.parse_args
+
+    def spy(parser, *args, **kwargs):
+        parsers.append(parser)
+        return real(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    valid = ["ultra", "coteries", DATA / "example_graph.txt"]
+    invalid = ["glue", DATA / "x5_a.txt", DATA / "x5_b.txt"]  # --c is required
+    outcomes = []
+    for argv in (valid, invalid, valid, invalid):
+        try:
+            code, out, err = run(capsys, *argv)
+        except SystemExit as exc:
+            code, (out, err) = exc.code, capsys.readouterr()
+        outcomes.append((code, out.rsplit("timing: ", 1)[0], err))
+    assert outcomes[:2] == outcomes[2:]
+    assert outcomes[1][:2] == (2, "")
+    assert outcomes[1][2].endswith("error: the following arguments are required: --c\n")
+    assert len(parsers) == 4 and all(p is parsers[0] for p in parsers)
+    assert parsers[0].format_help() == _build_parser.__wrapped__().format_help()
 
 
 class TestSinglePoint:

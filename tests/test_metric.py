@@ -14,6 +14,7 @@ from helpers import (
     EXAMPLE_MATRIX,
     brute_is_ultrametric,
     brute_minimax,
+    brute_parse_matrix_text,
     brute_triangle_violation,
     caterpillar,
     random_connected_graph,
@@ -348,6 +349,11 @@ class TestMinimaxGraph:
             pytest.param(("a", "b"), (("a", "b", 1.0), ("b", "x", 1.0)), ValueError,
                          "edge endpoint 'x' is not a graph vertex", id="unknown-endpoint"),
             pytest.param((), (), ValueError, "graph has no vertices", id="no-vertices"),
+            *(pytest.param(("a", "b", "c"), (("a", "b", w), ("b", "c", 1.0)), ValueError,
+                           rf"edge \(a, b\) has nonpositive weight {w}", id=f"weight-{w}")
+              for w in (0.0, -1.0, float("nan"))),
+            pytest.param(("a", "b"), (("a", "b", 1.0), ("b", "b", 1.0)), ValueError,
+                         "self-loop at vertex 'b'", id="self-loop"),
         ],
     )
     def test_directly_built_graph_is_checked(self, vertices, edges, error, message):
@@ -401,6 +407,37 @@ class TestMinimaxGraph:
             assert space.dist[i, j] == expected
 
 
+SPECIAL_TOKENS = ("0", "0.0", "-0.0", "1e3", "1000", "inf", "nan", "1_0")
+
+
+@st.composite
+def matrix_texts(draw):
+    """Matrix-file texts whose rows mix repeated and distinct tokens; now and
+    then a row is one entry short or long, a token does not parse, or the
+    row count is off by one."""
+    n = draw(st.integers(1, 8))
+    tokens = st.one_of(st.sampled_from(SPECIAL_TOKENS), st.floats().map(repr),
+                       st.just("x") if draw(st.integers(0, 19)) == 0 else st.nothing())
+    lines = [str(n)]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, 1)), "labels: " + " ".join(f"p{i}" for i in range(n)))
+    off_by_one = st.sampled_from((0,) * 18 + (-1, 1))
+    for _ in range(n + draw(off_by_one)):
+        width = max(1, n + draw(off_by_one))
+        distinct = draw(st.lists(tokens, min_size=1, max_size=width))
+        lines.append(" ".join(draw(st.lists(st.sampled_from(distinct),
+                                            min_size=width, max_size=width))))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_outcome(parse, text):
+    try:
+        labels, matrix = parse(text)
+    except ParseError as exc:
+        return exc.line, str(exc)
+    return labels, matrix.dtype, matrix.shape, matrix.tobytes()
+
+
 class TestParsers:
     def test_matrix_with_labels_first(self):
         labels, matrix = parse_matrix_text("labels: a b\n2\n0 1\n1 0\n")
@@ -422,6 +459,59 @@ class TestParsers:
     def test_matrix_missing_rows(self):
         with pytest.raises(ParseError):
             parse_matrix_text("3\n0 1 1\n1 0 1\n")
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            pytest.param("2\n0 x 1\n1 0\n", 2, "bad matrix row: '0 x 1'", id="bad-before-width"),
+            pytest.param("1\n0\n0 1\n", 3, "expected 1 entries, found 2", id="width-before-extra"),
+            pytest.param("1\n0\n0\n", 3, "more rows than the declared count", id="extra-row"),
+            pytest.param("1\n0\nx\n", 3, "bad matrix row: 'x'", id="bad-before-extra"),
+        ],
+    )
+    def test_matrix_row_errors_keep_their_order(self, text, line, message):
+        for parse in (parse_matrix_text, brute_parse_matrix_text):
+            with pytest.raises(ParseError) as info:
+                parse(text)
+            assert (info.value.line, str(info.value)) == (line, f"line {line}: {message}")
+
+    def test_huge_count_fails_on_the_first_row(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="line 2: expected 100000000 entries, found 3"):
+                parse_matrix_text("100000000\n0 1 1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_ultrametric_rows_convert_each_distinct_token_once(self, float_calls):
+        d = random_dendrogram(np.random.default_rng(3), 40)
+        text = "40\n" + "".join(" ".join(map(repr, row)) + "\n" for row in d.tolist())
+        rows = [line.split() for line in text.splitlines()[1:]]
+        assert all(2 * len(set(row)) <= len(row) for row in rows)
+        labels, matrix = parse_matrix_text(text)
+        assert sorted(float_calls) == sorted(tok for row in rows for tok in set(row))
+        assert matrix.tobytes() == brute_parse_matrix_text(text)[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "row, converted",
+        [
+            pytest.param("1 1 2 2", ["1", "2"], id="half-distinct"),
+            pytest.param("1 1 2 3", ["1", "1", "2", "3"], id="over-half-distinct"),
+        ],
+    )
+    def test_rows_on_both_sides_of_one_half(self, float_calls, row, converted):
+        labels, matrix = parse_matrix_text("4\n" + (row + "\n") * 4)
+        assert sorted(float_calls) == sorted(converted * 4)
+        assert matrix.tolist() == [[float(t) for t in row.split()]] * 4
+
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(text=matrix_texts())
+    def test_matches_the_reference_reader(self, text):
+        assert _parse_outcome(parse_matrix_text, text) == _parse_outcome(
+            brute_parse_matrix_text, text
+        )
 
     def test_edge_list(self):
         graph = parse_edge_list_text("# c\na b 2\nb c 1.5\n")
