@@ -14,9 +14,9 @@ over all zero-sum weight vectors a. For strict spaces the gap equals
 
 over sign vectors z in {-1, 1}^n. This module certifies the type class,
 computes the constant M_p = sup over the sum-one hyperplane of the form,
-builds the hat matrix, and maximizes over sign vectors exhaustively, with an
-independent sign-flip local search (its own bordered inverse, no hat matrix)
-as a cross-check.
+builds the hat matrix, and maximizes over sign vectors exactly, evaluating
+only those that a bound does not rule out, with an independent sign-flip
+local search (its own bordered inverse, no hat matrix) as a cross-check.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from .metric import PDistanceMatrix, is_ultrametric
 
 DEFAULT_ENUMERATION_CAP = 24
 
-_LOW_BITS = 14  # signs in the low block of the sign enumeration
+_DIRECT_POINTS = 12  # up to this n, one product of all sign vectors beats the tables
+_HALF_BITS = 7  # signs in each of the two low blocks of the sign enumeration
 _BLOCK_ENTRIES = 1 << 17  # values (1 MB) per enumeration block
 
 
@@ -90,6 +91,7 @@ class GapResult:
     beta: float
     z_star: np.ndarray | None
     method: GapMethod
+    evaluated: int = 0  # sign vectors whose value the enumeration computed
 
 
 @dataclass(frozen=True)
@@ -239,63 +241,108 @@ def _sign_patterns(m: int) -> np.ndarray:
     return z
 
 
-def _sign_sums(weights: np.ndarray, base=0.0) -> np.ndarray:
-    """``base + weights @ z`` over the columns z of _sign_patterns(weights.shape[1]).
+def _forms(block: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(block z | z) for every column z."""
+    return np.einsum("ij,ij->j", block @ z, z)
 
-    One small product covers the last (up to 8) coordinates; each earlier one
-    doubles the columns, so no large, BLAS-threaded product is involved.
-    """
-    m = weights.shape[1]
-    seed = min(m, 8)
-    out = np.empty((weights.shape[0], 1 << m))
-    out[:, : 1 << seed] = weights[:, m - seed :] @ _sign_patterns(seed) + base
-    for c in range(m - seed - 1, -1, -1):
-        width = 1 << (m - 1 - c)
-        np.subtract(out[:, :width], weights[:, c, None], out=out[:, width : 2 * width])
-        out[:, :width] += weights[:, c, None]
-    return out
+
+def _ties(values: np.ndarray, best: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices (ascending) and values of the entries within tol of best
+    that are worth more than every later entry: a later entry wins every tie,
+    so no other entry can be the tied vector with the largest index."""
+    index = np.flatnonzero(values >= best - tol)
+    vals = values.ravel()[index]
+    keep = np.append(vals[:-1] > np.maximum.accumulate(vals[:0:-1])[::-1], True)
+    return index[keep], vals[keep]
 
 
 def _sign_maximum(
-    hat: np.ndarray, low_bits: int = _LOW_BITS, block_entries: int = _BLOCK_ENTRIES
-) -> tuple[np.ndarray, float]:
-    """The sign vector z (first sign +1) maximizing (hat z | z), and that value.
+    hat: np.ndarray, block_entries: int = _BLOCK_ENTRIES
+) -> tuple[np.ndarray, float, int]:
+    """The sign vector z (first sign +1) maximizing (hat z | z), that value,
+    and the number of sign vectors whose value was computed.
 
-    Vector k = (i << b) + j joins high pattern i over the first h = n - b
-    coordinates to low pattern j over the last b = min(low_bits, n - 1):
-    Q = qH[i] + qL[j] + (C[i] | zL[j]) with C = 2 zH hat[:h, h:], in blocks of
-    at most ``block_entries`` values. Values within 4 n eps sum|hat_ij| of
-    the maximum (a bound on the rounding gap between two summation orders)
-    tie; the lexicographically smallest tied vector (the largest k) wins.
+    Vector k has z_c = -1 where bit n-1-c of k is set, so the lexicographically
+    smallest vector (-1 < +1) has the largest k. Values within
+    4 n eps sum|hat_ij| of the maximum (a bound on the rounding gap between two
+    summation orders) tie, the tied vector with the largest k wins, and the
+    value is evaluated once more at it.
+
+    Up to n = 12 one product evaluates every vector. Beyond, z = (zH, zA, zB)
+    splits into the first h = n - 2a coordinates and two blocks of
+    a = min(7, (n - 1) // 2), so that k = (i << 2a) + (alpha << a) + beta, and
+    the value of k is P[i, alpha] + R[i, beta] + X[alpha, beta], with
+    P = qHH + qAA + 2 zH hat_HA zA, R = qBB + 2 zH hat_HB zB and
+    X = 2 zA hat_AB zB. No value in row (i, alpha) exceeds
+    bound[i, alpha] = P[i, alpha] + max R[i] + max X[alpha]. The pair with the
+    largest bound seeds the best value. High rows are then visited in
+    descending order of their largest bound, the top row alone and the rest in
+    blocks of at most ``block_entries`` values. A block evaluates only the
+    pairs whose bound is at least best - 2 tol (or all of its rows, when more
+    than half of the pairs are), and the visit stops at the first row whose
+    bound is below that.
     """
     n = hat.shape[0]
-    b = min(low_bits, n - 1)
-    h = n - b
-    z_low, z_high = _sign_patterns(b), _sign_patterns(h)[:, : 1 << (h - 1)]
-    q_high = ((hat[:h, :h] @ z_high) * z_high).sum(axis=0)
-    cross = 2.0 * (z_high.T @ hat[:h, h:])
     tol = 4.0 * n * np.finfo(np.float64).eps * float(np.abs(hat).sum())
-    if h == 1:  # the lone high pattern joins the low table, which then holds every value
-        values = q_high[0] + (z_low * _sign_sums(hat[1:, 1:], cross[0, :, None])).sum(axis=0)
-        k = int(np.flatnonzero(values >= values.max() - tol)[-1])
-    else:
-        q_low = (z_low * _sign_sums(hat[h:, h:])).sum(axis=0)
-        rows, best, found = max(1, block_entries >> b), -inf, []
-        for start in range(0, len(q_high), rows):
-            block = _sign_sums(cross[start : start + rows], q_high[start : start + rows, None])
-            block += q_low
-            top = float(block.max())
-            if top >= best - tol:
-                best = max(best, top)
-                cand = np.flatnonzero(block >= best - tol)
-                vals = block.ravel()[cand]
-                # keep vectors worth more than all later ones, which win every tie with them
-                keep = np.append(vals[:-1] > np.maximum.accumulate(vals[:0:-1])[::-1], True)
-                found.append(((start << b) + cand[keep], vals[keep]))
-        ks, vs = (np.concatenate(part) for part in zip(*found))
-        k = int(ks[vs >= best - tol][-1])
-    z_star = np.concatenate([z_high[:, k >> b], z_low[:, k & ((1 << b) - 1)]])
-    return z_star, float(z_star @ hat @ z_star)
+    if n <= _DIRECT_POINTS:  # z holds the signs after the first
+        z = _sign_patterns(n - 1)
+        values = _forms(hat[1:, 1:], z) + (2.0 * hat[0, 1:] @ z + hat[0, 0])
+        index, _ = _ties(values, float(values.max()), tol)
+        z_star = np.concatenate([[1.0], z[:, index[-1]]])
+        return z_star, float(z_star @ hat @ z_star), values.size
+
+    a = min(_HALF_BITS, (n - 1) // 2)
+    h = n - 2 * a
+    high, half, low = slice(0, h), slice(h, h + a), slice(h + a, n)
+    z_high, z_half = _sign_patterns(h)[:, : 1 << (h - 1)], _sign_patterns(a)
+    cross = 2.0 * z_high.T
+    p = _forms(hat[high, high], z_high)[:, None] + _forms(hat[half, half], z_half)
+    p += (cross @ hat[high, half]) @ z_half
+    r = _forms(hat[low, low], z_half) + (cross @ hat[high, low]) @ z_half
+    x = (2.0 * z_half.T @ hat[half, low]) @ z_half
+    bound = p + r.max(axis=1)[:, None] + x.max(axis=1)
+    row_bound = bound.max(axis=1)
+    order = np.argsort(-row_bound, kind="stable")
+    # A value and its pair's bound are three-term sums of the same table
+    # entries, the bound's terms no smaller. |P| + |R| + |X| <= sum|hat_ij|,
+    # so the two sums' rounding differs by at most 2 eps sum|hat_ij| < tol
+    # (summed in the same order, as here, rounding is monotone and a value
+    # never exceeds its bound). A vector that ties with the final maximum is
+    # worth at least best - tol whenever its pair is visited, so its bound is
+    # at least best - 2 tol, and it is evaluated.
+    mask = (1 << a) - 1  # the bits of one low pattern in k
+    patterns = np.arange(1 << a) << a
+    rows_per_block = max(1, block_entries >> (2 * a))
+    # the values of the pair with the largest bound seed the pruning; the pair
+    # is live in its row, whose block evaluates (and counts) it again
+    i, alpha = np.unravel_index(int(bound.argmax()), bound.shape)
+    best, found, evaluated = float((p[i, alpha] + r[i] + x[alpha]).max()), [], 0
+    start, stop = 0, 1  # the top row alone first, so that its best prunes the others
+    while start < len(order) and row_bound[order[start]] >= best - 2.0 * tol:
+        rows = np.sort(order[start:stop])  # ascending k within the block
+        live = bound[rows] >= best - 2.0 * tol
+        if 2 * np.count_nonzero(live) > live.size:  # then whole rows cost less than gathering
+            block = p[rows, :, None] + r[rows, None, :]
+            block += x
+            pairs = ((rows[:, None] << 2 * a) + patterns).ravel()
+        else:
+            at, alphas = np.nonzero(live)
+            block = p[rows[at], alphas][:, None] + r[rows[at]]
+            block += x[alphas]
+            pairs = (rows[at] << 2 * a) + (alphas << a)
+        evaluated += block.size
+        top = float(block.max())
+        if top >= best - tol:
+            best = max(best, top)
+            index, vals = _ties(block, best, tol)
+            found.append((pairs[index >> a] + (index & mask), vals))
+        start, stop = stop, stop + rows_per_block
+    ks, vs = (np.concatenate(part) for part in zip(*found))
+    k = int(ks[vs >= best - tol].max())
+    z_star = np.concatenate(
+        [z_high[:, k >> 2 * a], z_half[:, (k >> a) & mask], z_half[:, k & mask]]
+    )
+    return z_star, float(z_star @ hat @ z_star), evaluated
 
 
 def gap_exact(
@@ -303,13 +350,15 @@ def gap_exact(
     cap: int = DEFAULT_ENUMERATION_CAP,
     cert: NegTypeCertificate | None = None,
 ) -> GapResult:
-    """Exact gap by exhaustive sign-vector maximization.
+    """Exact gap by sign-vector maximization.
 
-    The first sign is fixed to +1 (z and -z give equal values) and the rest
-    meets in the middle; ties within 4 n eps sum|hat_ij| go to the
-    lexicographically smallest vector, at which beta is evaluated, so no
-    result depends on the blocking (see _sign_maximum). Non-strict spaces of
-    negative type report exactly 0; single points are unbounded.
+    The first sign is fixed to +1 (z and -z give equal values). Every other
+    sign vector is either evaluated or bounded below the maximum; ties within
+    4 n eps sum|hat_ij| go to the lexicographically smallest vector, at which
+    beta is evaluated, so no result depends on the blocking or the pruning
+    (see _sign_maximum). ``evaluated`` counts the sign vectors whose value was
+    computed. Non-strict spaces of negative type report exactly 0; single
+    points are unbounded.
     """
     if cert is None:
         cert = certify(dp)
@@ -323,7 +372,7 @@ def gap_exact(
     if n > cap:
         raise TooManyPoints(n, cap)
 
-    z_star, beta = _sign_maximum(hat_matrix(dp, cert))
+    z_star, beta, evaluated = _sign_maximum(hat_matrix(dp, cert))
     if not beta > 0:
         raise ToleranceFailure(f"sign maximum {beta:.3g} on a strict space is not above 0")
     return GapResult(
@@ -331,6 +380,7 @@ def gap_exact(
         beta=beta,
         z_star=z_star,
         method=GapMethod.SIGN_ENUMERATION,
+        evaluated=evaluated,
     )
 
 

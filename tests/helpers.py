@@ -6,14 +6,19 @@ random dendrograms with ascending merge heights, which guarantees the strong
 triangle inequality exactly. The ``brute_*`` functions are cubic oracles for
 the ultrametric ball tree, apart from ``brute_parse_matrix_text``, a
 reference matrix-file reader that converts every token.
+``reference_sign_maximum`` is the exhaustive sign enumerator that the
+bound-pruned one in ``negtype.gap`` replaced.
 """
 
 from __future__ import annotations
+
+from math import inf
 
 import numpy as np
 
 from negtype import FiniteMetricSpace, discrete_space, scale_space, validate_metric
 from negtype.errors import ParseError
+from negtype.gap import _sign_patterns
 from negtype.metric import METRIC_RTOL, _content_lines
 
 EXAMPLE_LABELS = ("a", "b", "c", "d", "e", "f", "g")
@@ -51,10 +56,16 @@ def line_space() -> FiniteMetricSpace:
     return validate_metric(["u", "v", "w"], [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
 
-def random_dendrogram(rng: np.random.Generator, n: int, lo=1.0, hi=2.0) -> np.ndarray:
-    """Distance matrix of a random dendrogram: merge heights drawn in [lo, hi], ascending."""
+def random_dendrogram(
+    rng: np.random.Generator, n: int, lo=1.0, hi=2.0, levels=None
+) -> np.ndarray:
+    """Distance matrix of a random dendrogram: merge heights drawn in [lo, hi],
+    or from ``levels`` when given (so that they repeat), ascending."""
     clusters: list[list[int]] = [[i] for i in range(n)]
-    heights = np.sort(rng.uniform(lo, hi, size=n - 1))
+    if levels is None:
+        heights = np.sort(rng.uniform(lo, hi, size=n - 1))
+    else:
+        heights = np.sort(rng.choice(levels, size=n - 1))
     d = np.zeros((n, n))
     for height in heights:
         i, j = sorted(rng.choice(len(clusters), size=2, replace=False))
@@ -70,6 +81,12 @@ def random_ultrametric(rng: np.random.Generator, n: int, lo=1.0, hi=2.0) -> Fini
     if n == 1:
         return validate_metric(["x1"], np.zeros((1, 1)))
     return validate_metric([f"x{i + 1}" for i in range(n)], random_dendrogram(rng, n, lo, hi))
+
+
+def repeated_height_ultrametric(rng: np.random.Generator, n: int) -> FiniteMetricSpace:
+    """Random dendrogram metric whose n - 1 merge heights take three values."""
+    d = random_dendrogram(rng, n, levels=(1.0, 1.5, 2.0))
+    return validate_metric([f"x{i + 1}" for i in range(n)], d)
 
 
 def caterpillar(n: int) -> np.ndarray:
@@ -219,3 +236,69 @@ def brute_parse_matrix_text(text: str) -> tuple[list[str], np.ndarray]:
     elif len(labels) != n:
         raise ParseError(0, f"{len(labels)} labels for {n} points")
     return labels, np.asarray(rows)
+
+
+# The exhaustive sign enumerator that preceded the pruned one in negtype.gap.
+_LOW_BITS = 14  # signs in the low block of the sign enumeration
+_BLOCK_ENTRIES = 1 << 17  # values (1 MB) per enumeration block
+
+
+def _sign_sums(weights: np.ndarray, base=0.0) -> np.ndarray:
+    """``base + weights @ z`` over the columns z of _sign_patterns(weights.shape[1]).
+
+    One small product covers the last (up to 8) coordinates; each earlier one
+    doubles the columns, so no large, BLAS-threaded product is involved.
+    """
+    m = weights.shape[1]
+    seed = min(m, 8)
+    out = np.empty((weights.shape[0], 1 << m))
+    out[:, : 1 << seed] = weights[:, m - seed :] @ _sign_patterns(seed) + base
+    for c in range(m - seed - 1, -1, -1):
+        width = 1 << (m - 1 - c)
+        np.subtract(out[:, :width], weights[:, c, None], out=out[:, width : 2 * width])
+        out[:, :width] += weights[:, c, None]
+    return out
+
+
+def reference_sign_maximum(
+    hat: np.ndarray, low_bits: int = _LOW_BITS, block_entries: int = _BLOCK_ENTRIES
+) -> tuple[np.ndarray, float]:
+    """The sign vector z (first sign +1) maximizing (hat z | z), and that value:
+    the exhaustive enumerator that ``negtype.gap._sign_maximum`` replaced,
+    kept as a reference for its ``z_star`` and beta.
+
+    Vector k = (i << b) + j joins high pattern i over the first h = n - b
+    coordinates to low pattern j over the last b = min(low_bits, n - 1):
+    Q = qH[i] + qL[j] + (C[i] | zL[j]) with C = 2 zH hat[:h, h:], in blocks of
+    at most ``block_entries`` values. Values within 4 n eps sum|hat_ij| of
+    the maximum (a bound on the rounding gap between two summation orders)
+    tie; the lexicographically smallest tied vector (the largest k) wins.
+    """
+    n = hat.shape[0]
+    b = min(low_bits, n - 1)
+    h = n - b
+    z_low, z_high = _sign_patterns(b), _sign_patterns(h)[:, : 1 << (h - 1)]
+    q_high = ((hat[:h, :h] @ z_high) * z_high).sum(axis=0)
+    cross = 2.0 * (z_high.T @ hat[:h, h:])
+    tol = 4.0 * n * np.finfo(np.float64).eps * float(np.abs(hat).sum())
+    if h == 1:  # the lone high pattern joins the low table, which then holds every value
+        values = q_high[0] + (z_low * _sign_sums(hat[1:, 1:], cross[0, :, None])).sum(axis=0)
+        k = int(np.flatnonzero(values >= values.max() - tol)[-1])
+    else:
+        q_low = (z_low * _sign_sums(hat[h:, h:])).sum(axis=0)
+        rows, best, found = max(1, block_entries >> b), -inf, []
+        for start in range(0, len(q_high), rows):
+            block = _sign_sums(cross[start : start + rows], q_high[start : start + rows, None])
+            block += q_low
+            top = float(block.max())
+            if top >= best - tol:
+                best = max(best, top)
+                cand = np.flatnonzero(block >= best - tol)
+                vals = block.ravel()[cand]
+                # keep vectors worth more than all later ones, which win every tie with them
+                keep = np.append(vals[:-1] > np.maximum.accumulate(vals[:0:-1])[::-1], True)
+                found.append(((start << b) + cand[keep], vals[keep]))
+        ks, vs = (np.concatenate(part) for part in zip(*found))
+        k = int(ks[vs >= best - tol][-1])
+    z_star = np.concatenate([z_high[:, k >> b], z_low[:, k & ((1 << b) - 1)]])
+    return z_star, float(z_star @ hat @ z_star)

@@ -133,13 +133,13 @@ class TestAnalyze:
         assert err == "error: --seed must be at least 0, got -1\n"
 
     def test_blas_thread_count_does_not_change_output(self, tmp_path):
-        n = 20
-        space = random_euclidean(np.random.default_rng(n), n)
-        path = tmp_path / "euclidean20.txt"
-        rows = "\n".join(" ".join(repr(float(x)) for x in row) for row in space.dist)
-        path.write_text(f"{n}\n{rows}\n")
+        # n = 24 has the largest enumeration tables under the default cap
         src = str(Path(negtype.__file__).resolve().parent.parent)
-        for p in ("1", "1.5"):
+        for n, p in ((20, "1"), (20, "1.5"), (24, "1"), (24, "1.5")):
+            space = random_euclidean(np.random.default_rng(n), n)
+            path = tmp_path / f"euclidean{n}.txt"
+            rows = "\n".join(" ".join(repr(float(x)) for x in row) for row in space.dist)
+            path.write_text(f"{n}\n{rows}\n")
             reports = []
             for threads in ("1", "2"):
                 env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)

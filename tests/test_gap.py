@@ -1,13 +1,20 @@
 from __future__ import annotations
 
 import itertools
+import math
 from math import inf
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from helpers import random_euclidean, random_ultrametric
+from helpers import (
+    caterpillar,
+    random_euclidean,
+    random_ultrametric,
+    reference_sign_maximum,
+    repeated_height_ultrametric,
+)
 from negtype import (
     Classification,
     GapMethod,
@@ -29,6 +36,15 @@ from negtype.gap import _sign_maximum
 
 def dp_of(space, p=1.0):
     return p_distance_matrix(space, p)
+
+
+def brute_force_values(hat):
+    """(hat z | z) for every sign vector z with first sign +1, in lexicographic
+    order (-1 < +1), and those vectors as rows."""
+    n = hat.shape[0]
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n - 1)))
+    z = np.hstack([np.ones((len(signs), 1)), signs])
+    return ((z @ hat) * z).sum(axis=1), z
 
 
 @pytest.fixture(scope="module")
@@ -312,35 +328,83 @@ class TestGapExact:
         assert attained
 
     @pytest.mark.parametrize("n", [17, 18])
-    @pytest.mark.parametrize("make_space", [random_euclidean, random_ultrametric])
+    @pytest.mark.parametrize(
+        "make_space",
+        [random_euclidean, random_ultrametric, repeated_height_ultrametric,
+         lambda rng, n: discrete_space(n)],
+        ids=["random_euclidean", "random_ultrametric", "repeated_height_ultrametric",
+             "discrete_space"],
+    )
     def test_matches_brute_force(self, n, make_space):
         dp = dp_of(make_space(np.random.default_rng(n), n))
         result = gap_exact(dp)
         hat = hat_matrix(dp)
-        # every sign vector with first sign +1, in lexicographic order (-1 < +1)
-        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n - 1)))
-        z = np.hstack([np.ones((len(signs), 1)), signs])
-        values = ((z @ hat) * z).sum(axis=1)
+        values, z = brute_force_values(hat)
         tol = 4 * n * np.finfo(float).eps * np.abs(hat).sum()
-        first_tied = int(np.flatnonzero(values >= values.max() - tol)[0])
+        tied = np.flatnonzero(values >= values.max() - tol)
         assert result.beta == pytest.approx(values.max(), rel=1e-12)
-        assert np.array_equal(result.z_star, z[first_tied])
+        assert np.array_equal(result.z_star, z[tied[0]])
+        assert result.evaluated >= len(tied)
 
-    def test_blocking_does_not_change_result(self, example78):
+    def test_matches_reference_enumerator(self, example78):
+        # the exhaustive enumerator that the pruned one replaced, bit for bit
         hat78 = hat_matrix(dp_of(example78))
-        z = np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=6)])
-        values = ((z @ hat78) * z).sum(axis=1)
-        assert np.count_nonzero(values >= values.max() * (1 - 1e-12)) == 8
+        values78, _ = brute_force_values(hat78)
+        assert np.count_nonzero(values78 >= values78.max() * (1 - 1e-12)) == 8
+        hats = [hat78] + [hat_matrix(dp_of(discrete_space(n))) for n in range(2, 21)]
+        rng = np.random.default_rng(43)
+        for n in range(16, 23):
+            hats += [hat_matrix(dp_of(random_euclidean(rng, n), p)) for p in (1.0, 1.5)]
+            hats.append(hat_matrix(dp_of(random_ultrametric(rng, n))))
+            labels = [f"x{i}" for i in range(n)]
+            hats.append(hat_matrix(dp_of(validate_metric(labels, caterpillar(n)))))
+        for hat in hats:
+            z_star, beta, _ = _sign_maximum(hat)
+            reference = reference_sign_maximum(hat)
+            assert np.array_equal(z_star, reference[0])
+            assert beta == reference[1]
 
+    @pytest.mark.parametrize("n", [17, 21])
+    def test_attained_bounds_keep_every_tie(self, n):
+        # no coupling between the three coordinate blocks, so a pair's bound
+        # equals its best value, and integer entries make the ties exact
+        a = min(7, (n - 1) // 2)
+        hat = np.zeros((n, n))
+        for block in (slice(0, n - 2 * a), slice(n - 2 * a, n - a), slice(n - a, n)):
+            hat[block, block] = -1.0
+        z_star, beta, _ = _sign_maximum(hat)
+        values, z = brute_force_values(hat)
+        assert beta == values.max() == -3.0  # each block is odd, so one sign is left over
+        assert np.array_equal(z_star, z[np.flatnonzero(values == beta)[0]])
+        reference = reference_sign_maximum(hat)
+        assert np.array_equal(z_star, reference[0])
+        assert beta == reference[1]
+
+    def test_blocking_does_not_change_result(self):
         rng = np.random.default_rng(31)
-        others = (random_ultrametric(rng, 12), random_euclidean(rng, 13))
-        for hat in [hat78] + [hat_matrix(dp_of(space)) for space in others]:
-            reference = _sign_maximum(hat)
-            for low_bits in (1, 5, 14):
-                for rows in (1, 3, 1 << 19):
-                    z_star, beta = _sign_maximum(hat, low_bits, rows << low_bits)
-                    assert np.array_equal(z_star, reference[0])
-                    assert beta == reference[1]
+        spaces = (discrete_space(14), random_ultrametric(rng, 15), random_euclidean(rng, 17),
+                  repeated_height_ultrametric(rng, 19))
+        for space in spaces:
+            hat = hat_matrix(dp_of(space))
+            reference = reference_sign_maximum(hat)
+            half = min(7, (space.n - 1) // 2)  # signs in each low block
+            for rows in (1, 2, 3, 1 << 19):
+                z_star, beta, _ = _sign_maximum(hat, rows << 2 * half)
+                assert np.array_equal(z_star, reference[0])
+                assert beta == reference[1]
+
+    def test_evaluated_counts_the_pruned_search(self):
+        for n in (2, 7, 12):
+            assert gap_exact(dp_of(discrete_space(n))).evaluated == 2 ** (n - 1)
+        euclidean = gap_exact(dp_of(random_euclidean(np.random.default_rng(20), 20)))
+        assert 0 < euclidean.evaluated < 2**19 / 4
+        # every balanced vector ties in a discrete space, so none can be pruned
+        hat = hat_matrix(dp_of(discrete_space(18)))
+        values, _ = brute_force_values(hat)
+        tol = 4 * 18 * np.finfo(float).eps * np.abs(hat).sum()
+        tied = np.count_nonzero(values >= values.max() - tol)
+        assert tied == math.comb(18, 9) // 2
+        assert gap_exact(dp_of(discrete_space(18))).evaluated >= tied
 
     def test_frozen_rational_oracle_values(self, example78):
         # expected values computed once with exact fraction arithmetic
