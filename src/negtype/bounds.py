@@ -112,7 +112,7 @@ def spectral_bounds(
     lower = factor * abs(lam_penult) * gamma_discrete(n)
     row_sums = dp.entries.sum(axis=1)
     spread = float(row_sums.max() - row_sums.min())
-    constant = spread <= ROW_SUM_RTOL * max(1.0, float(np.abs(row_sums).max()))
+    constant = spread <= ROW_SUM_RTOL * float(np.abs(row_sums).max())
     return GapBounds(
         lower=lower,
         upper=abs(lam_penult),

@@ -105,17 +105,6 @@ class OracleResult:
     iterations: int
 
 
-def _f0_witness(dp: np.ndarray) -> np.ndarray:
-    """Best-effort zero-sum vector with a positive quadratic form value."""
-    n = dp.shape[0]
-    proj = np.eye(n) - np.full((n, n), 1.0 / n)
-    spectrum = spectral.sym_eigen(proj @ dp @ proj)
-    w = spectrum.eigenvectors[:, -1]
-    w = w - w.mean()
-    norm = np.abs(w).sum()
-    return w / norm if norm > 0 else w
-
-
 def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
     """Classify (strict) p-negative type with supporting evidence.
 
@@ -126,13 +115,27 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
     tiny relative to the matrix norm. All other inputs are classified by the
     spectral conditions: negative type needs a single positive eigenvalue and
     a solution b of D_p b = 1 with (b | 1) >= 0; strictness additionally
-    needs nonsingularity and (b | 1) > 0.
+    needs nonsingularity and (b | 1) > 0. Each test compares like with like,
+    so no decision depends on the unit of distance: eigenvalues with
+    ``zero_tol`` (units of d^p), (b | 1) with 1e-9 ||b||_1 (units of 1/d^p),
+    and the residual of D_p b = 1 with 1e-9 ||1||.
 
     D_p is decomposed here once: one eigendecomposition, and one LU factor
     when b is solved for by LU (ultrametric or nonsingular input), which the
     certificate keeps for ``hat_matrix``. A singular D_p takes the
     least-residual b from the eigenpairs, with components under ``zero_tol``
     dropped.
+
+    A space not of negative type gets its witness from the same eigenpairs:
+    with v the top eigenvector and y = b when b exists (then (b | 1) < 0),
+    else the next eigenvector, w = (1|y) v - (1|v) y, mean-subtracted,
+    divided by ||w||_1 and signed so that its largest-magnitude entry is
+    positive. D_p has positive off-diagonal entries, so v is a Perron vector
+    with (1|v) != 0, and (D_p w | w) is (1|y)^2 lambda_n - (1|y)(1|v)^2 > 0
+    for y = b, or (1|y)^2 lambda_n + (1|v)^2 lambda_{n-1} for the next
+    eigenvector: positive when lambda_{n-1} > 0, and about (1|y)^2 lambda_n
+    when D_p is singular with 1 outside its range. A form that is not
+    positive raises ToleranceFailure, so a witness is always a witness.
     """
     n = dp.n
     if n == 1:
@@ -140,14 +143,13 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
             classification=Classification.STRICT_NEGATIVE_TYPE,
             m_p=0.0,
             u_p=np.ones(1),
-            zero_tol=spectral.zero_tolerance(0.0),
+            zero_tol=0.0,
             eigenvalues=np.zeros(1),
         )
 
     entries = dp.entries
     spectrum = spectral.sym_eigen(entries)
-    lam = spectrum.eigenvalues
-    ztol = spectrum.zero_tol
+    lam, vectors, ztol = spectrum.eigenvalues, spectrum.eigenvectors, spectrum.zero_tol
     lam_penult = float(lam[-2])
     lam_max = float(lam[-1])
     ultrametric = is_ultrametric(dp.source)
@@ -160,21 +162,29 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
             lu = spectral.lu_factor(entries)
             b = spectral.refined_solve(entries, np.ones(n), lu)
         else:
-            vectors = spectrum.eigenvectors
             inv = np.where(np.abs(lam) < ztol, 0.0, 1.0 / np.where(lam == 0.0, 1.0, lam))
             b = vectors @ ((vectors.T @ np.ones(n)) * inv)
-            if not float(np.linalg.norm(entries @ b - np.ones(n))) <= ztol * np.sqrt(n):
+            residual = float(np.linalg.norm(entries @ b - np.ones(n)))
+            if not residual <= spectral.ZERO_TOL_FACTOR * np.sqrt(n):
                 b = None  # 1 is not in the range of D_p, so no valid b exists
     if b is not None:
         b_dot_one = float(b.sum())
+        btol = spectral.ZERO_TOL_FACTOR * float(np.abs(b).sum())
     if ultrametric and not b_dot_one > 0:
         raise ToleranceFailure(f"ultrametric (b | 1) = {b_dot_one:.3g} is not above 0")
 
     strict_spectrum = lam_penult < -ztol and nonsingular
-    if b is None or b_dot_one < -ztol:
+    if b is None or b_dot_one < -btol:
         classification = Classification.NOT_NEGATIVE_TYPE
-        fields = dict(m_p=inf, m_p_reason="not of p-negative type", witness=_f0_witness(entries))
-    elif ultrametric or (strict_spectrum and b_dot_one > ztol):
+        v, y = vectors[:, -1], vectors[:, -2] if b is None else b
+        w = y.sum() * v - v.sum() * y
+        w -= w.mean()
+        w /= np.abs(w).sum() * np.sign(w[np.abs(w).argmax()])
+        form = float(w @ entries @ w)
+        if not form > 0:
+            raise ToleranceFailure(f"witness form value {form:.3g} is not above limit 0")
+        fields = dict(m_p=inf, m_p_reason="not of p-negative type", witness=w)
+    elif ultrametric or (strict_spectrum and b_dot_one > btol):
         classification = Classification.STRICT_NEGATIVE_TYPE
         u_p, m_p = b / b_dot_one, 1.0 / b_dot_one
         _check_u_p(entries, u_p, m_p)
@@ -183,8 +193,8 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
         # Negative type but not certifiably strict. Near-zero (b | 1) is the
         # conservative boundary case; M_p is infinite exactly when (b | 1) ~ 0.
         classification = Classification.NEGATIVE_TYPE_NON_STRICT
-        fields = dict(boundary_warning=strict_spectrum and abs(b_dot_one) <= ztol)
-        if b_dot_one > ztol:
+        fields = dict(boundary_warning=strict_spectrum and abs(b_dot_one) <= btol)
+        if b_dot_one > btol:
             fields.update(m_p=1.0 / b_dot_one)
         else:
             fields.update(m_p=inf, m_p_reason="(b | 1) is zero within tolerance")

@@ -26,10 +26,6 @@ from .metric import FiniteMetricSpace, PDistanceMatrix, p_distance_matrix, valid
 from .spectral import refined_solve
 
 
-def _diameter(space: FiniteMetricSpace) -> float:
-    return 0.0 if space.n == 1 else float(space.dist.max())
-
-
 @dataclass(frozen=True)
 class GlueSpec:
     """Two disjoint components and the bridging distance c."""
@@ -41,7 +37,7 @@ class GlueSpec:
     def __post_init__(self):
         if not self.c > 0:
             raise BridgeTooShort(f"bridge distance must be positive, got {self.c}")
-        max_diam = max(_diameter(self.left), _diameter(self.right))
+        max_diam = max(float(self.left.dist.max()), float(self.right.dist.max()))
         if 2.0 * self.c < max_diam:
             raise BridgeTooShort(
                 f"2c = {2.0 * self.c} is below the larger diameter {max_diam}"
@@ -96,10 +92,6 @@ def glue_spaces(spec: GlueSpec) -> FiniteMetricSpace:
     return validate_metric(spec.left.labels + spec.right.labels, d)
 
 
-def _margin_tolerance(c: float, p: float) -> float:
-    return 1e-9 * max(1.0, 2.0 * c**p)
-
-
 def _component_certs(spec: GlueSpec, p: float):
     dp1 = p_distance_matrix(spec.left, p)
     dp2 = p_distance_matrix(spec.right, p)
@@ -120,7 +112,7 @@ def glue_type_condition(spec: GlueSpec, p: float) -> GlueTypeResult:
     """
     _, _, cert1, cert2 = _component_certs(spec, p)
     margin = 2.0 * spec.c**p - cert1.m_p - cert2.m_p
-    tol = _margin_tolerance(spec.c, p)
+    tol = 1e-9 * 2.0 * spec.c**p  # the margin's own unit, d^p
     if margin > tol:
         classification = GlueClassification.STRICT
     elif margin >= -tol:
@@ -220,7 +212,7 @@ def glued_hat_form(spec: GlueSpec, p: float, z) -> GluedHatForm:
     if z.shape[1] != n + m:
         raise ValueError(f"expected vectors of length {n + m}, got shape {z.shape}")
     dp1, dp2, cert1, cert2 = _component_certs(spec, p)
-    _require_strict_margin(spec, p)
+    margin = _require_strict_margin(spec, p).margin
 
     glued = glue_spaces(spec)
     dp = p_distance_matrix(glued, p)
@@ -232,25 +224,9 @@ def glued_hat_form(spec: GlueSpec, p: float, z) -> GluedHatForm:
     hat2 = gap_mod.hat_matrix(dp2, cert2)
     left_term = np.einsum("ij,ij->i", x @ hat1, x)
     right_term = np.einsum("ij,ij->i", y @ hat2, y)
-    margin = 2.0 * spec.c**p - cert1.m_p - cert2.m_p
-    coupling = x @ cert1.u_p - y @ cert2.u_p
-    cross_term = coupling**2 / margin
-    decomposition = left_term + right_term + cross_term
-    if not batched:
-        return GluedHatForm(
-            direct=float(direct[0]),
-            decomposition=float(decomposition[0]),
-            left_term=float(left_term[0]),
-            right_term=float(right_term[0]),
-            cross_term=float(cross_term[0]),
-        )
-    return GluedHatForm(
-        direct=direct,
-        decomposition=decomposition,
-        left_term=left_term,
-        right_term=right_term,
-        cross_term=cross_term,
-    )
+    cross_term = (x @ cert1.u_p - y @ cert2.u_p) ** 2 / margin
+    terms = (direct, left_term + right_term + cross_term, left_term, right_term, cross_term)
+    return GluedHatForm(*(terms if batched else (float(t[0]) for t in terms)))
 
 
 def glue_gap_bounds(
@@ -264,8 +240,7 @@ def glue_gap_bounds(
     still valid.
     """
     dp1, dp2, cert1, cert2 = _component_certs(spec, p)
-    _require_strict_margin(spec, p)
-    margin = 2.0 * spec.c**p - cert1.m_p - cert2.m_p
+    margin = _require_strict_margin(spec, p).margin
     u1_norm = float(np.abs(cert1.u_p).sum())
     u2_norm = float(np.abs(cert2.u_p).sum())
     alpha = 0.5 * (u1_norm + u2_norm) ** 2 / margin

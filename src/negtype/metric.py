@@ -109,10 +109,18 @@ class WeightedGraph:
 
     def __post_init__(self) -> None:
         for u, v, w in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u!r}")
-            if not w > 0:
-                raise ValueError(f"edge ({u}, {v}) has nonpositive weight {w}")
+            if fault := _edge_fault(u, v, w):
+                raise ValueError(fault)
+
+
+def _edge_fault(u: str, v: str, w: float) -> str | None:
+    """Why the edge is rejected (a self-loop, or a weight that is not
+    positive, NaN included), or None."""
+    if u == v:
+        return f"self-loop at vertex {u!r}"
+    if not w > 0:
+        return f"edge ({u}, {v}) has nonpositive weight {w}"
+    return None
 
 
 def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
@@ -426,10 +434,8 @@ def parse_edge_list_text(text: str) -> WeightedGraph:
             w = float(wtok)
         except ValueError:
             raise ParseError(lineno, f"bad weight {wtok!r}") from None
-        if not w > 0:
-            raise ParseError(lineno, f"weight must be positive, got {w}")
-        if u == v:
-            raise ParseError(lineno, f"self-loop at {u!r}")
+        if fault := _edge_fault(u, v, w):
+            raise ParseError(lineno, fault)
         edges.append((u, v, w))
     if not edges:
         raise ParseError(0, "edge list is empty")

@@ -1,11 +1,12 @@
 """Symmetric eigendecomposition and refined LU solves with one tolerance policy.
 
 Every other module consumes this contract. The classification tolerance is
-``zero_tol = 1e-9 * max(1, spectral norm)``; quantities within it of zero are
-treated as zero. Solves use an LU factorization followed by fixed-precision
-iterative refinement, which keeps small matrix entries meaningful even when
-the entries span many orders of magnitude (large exponents p produce
-p-distance matrices with enormous dynamic range).
+``zero_tol = 1e-9 * spectral norm``, with no floor, so that it carries the
+unit of the matrix; quantities within it of zero are treated as zero. Solves
+use an LU factorization followed by fixed-precision iterative refinement,
+which keeps small matrix entries meaningful even when the entries span many
+orders of magnitude (large exponents p produce p-distance matrices with
+enormous dynamic range).
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ SYMMETRY_RTOL = 1e-12
 ZERO_TOL_FACTOR = 1e-9
 
 _REFINE_SWEEPS = 3
-
-
-def zero_tolerance(spectral_norm: float) -> float:
-    return ZERO_TOL_FACTOR * max(1.0, float(spectral_norm))
 
 
 @dataclass(frozen=True)
@@ -54,7 +51,7 @@ def sym_eigen(a) -> Spectrum:
         eigenvalues, eigenvectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    tol = zero_tolerance(np.abs(eigenvalues).max() if eigenvalues.size else 0.0)
+    tol = ZERO_TOL_FACTOR * float(np.abs(eigenvalues).max(initial=0.0))
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors, zero_tol=tol)
 
 

@@ -5,8 +5,9 @@ distance matrix) is used throughout; random ultrametric spaces are built as
 random dendrograms with ascending merge heights, which guarantees the strong
 triangle inequality exactly. The ``brute_*`` functions are cubic oracles for
 the ultrametric ball tree, apart from ``brute_parse_matrix_text``, a
-reference matrix-file reader that converts every token.
-``reference_sign_maximum`` is the exhaustive sign enumerator that the
+reference matrix-file reader that converts every token. ``singular_crossing``
+builds graph metrics whose p-distance matrix is singular and has 1 outside
+its range. ``reference_sign_maximum`` is the exhaustive sign enumerator that the
 bound-pruned one in ``negtype.gap`` replaced.
 """
 
@@ -16,7 +17,14 @@ from math import inf
 
 import numpy as np
 
-from negtype import FiniteMetricSpace, discrete_space, scale_space, validate_metric
+from negtype import (
+    FiniteMetricSpace,
+    discrete_space,
+    p_distance_matrix,
+    scale_space,
+    sym_eigen,
+    validate_metric,
+)
 from negtype.errors import ParseError
 from negtype.gap import _sign_patterns
 from negtype.metric import METRIC_RTOL, _content_lines
@@ -132,6 +140,36 @@ def random_connected_graph(rng: np.random.Generator, n: int):
         u, v = rng.choice(n, size=2, replace=False)
         edges.append((f"v{u}", f"v{v}", float(rng.uniform(0.5, 4.0))))
     return edges
+
+
+def random_graph_metric(rng: np.random.Generator, n: int) -> FiniteMetricSpace:
+    """Metric closure (shortest paths) of the complete graph with weights in [1, 3]."""
+    w = np.triu(rng.uniform(1.0, 3.0, size=(n, n)), 1)
+    w += w.T
+    for k in range(n):
+        w = np.minimum(w, w[:, k, None] + w[None, k, :])
+    return validate_metric([f"x{i + 1}" for i in range(n)], w)
+
+
+def singular_crossing(seed: int) -> tuple[FiniteMetricSpace, float]:
+    """A random graph metric (n = 6 + seed % 6) and the exponent p, found by
+    bisecting on the sign of lambda_{n-1}(D_p), at which |lambda_{n-1}| is
+    within ``zero_tol``: D_p is singular there, and 1 is outside its range."""
+    space = random_graph_metric(np.random.default_rng(seed), 6 + seed % 6)
+
+    def penultimate(p):
+        spectrum = sym_eigen(p_distance_matrix(space, p).entries)
+        return float(spectrum.eigenvalues[-2]), spectrum.zero_tol
+
+    lo, hi = 0.05, 1.0  # D_p tends to J - I, with lambda_{n-1} = -1, as p -> 0
+    while penultimate(hi)[0] <= 0.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        p = 0.5 * (lo + hi)
+        lam, tol = penultimate(p)
+        if abs(lam) <= tol:
+            return space, p
+        lo, hi = (lo, p) if lam > 0.0 else (p, hi)
 
 
 def tree_path_max_weight(tree_edges, u: str, v: str) -> float:

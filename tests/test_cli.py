@@ -133,25 +133,35 @@ class TestAnalyze:
         assert err == "error: --seed must be at least 0, got -1\n"
 
     def test_blas_thread_count_does_not_change_output(self, tmp_path):
-        # n = 24 has the largest enumeration tables under the default cap
+        # n = 24 has the largest enumeration tables under the default cap; at
+        # p = 3 line3 and the n = 20 space are not of negative type and get a witness
         src = str(Path(negtype.__file__).resolve().parent.parent)
-        for n, p in ((20, "1"), (20, "1.5"), (24, "1"), (24, "1.5")):
+        cases = [(DATA / "line3.txt", "3")]
+        for n, ps in ((20, ("1", "1.5", "3")), (24, ("1", "1.5"))):
             space = random_euclidean(np.random.default_rng(n), n)
             path = tmp_path / f"euclidean{n}.txt"
             rows = "\n".join(" ".join(repr(float(x)) for x in row) for row in space.dist)
             path.write_text(f"{n}\n{rows}\n")
+            cases += [(path, p) for p in ps]
+        for path, p in cases:
             reports = []
             for threads in ("1", "2"):
                 env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
                 argv = [sys.executable, "-m", "negtype.cli", "analyze", str(path), "--json",
                         "--oracle", "--p", p]
-                done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+                done = subprocess.run(argv, env=env, capture_output=True, text=True)
                 report = json.loads(done.stdout)
                 report.pop("timing_seconds")
-                reports.append(report)
+                reports.append((done.returncode, report))
             assert reports[0] == reports[1]
-            gap = reports[0]["gap"]
-            assert gap["oracle_gamma"] == pytest.approx(gap["gamma"], rel=1e-12, abs=0.0)
+            code, report = reports[0]
+            gap = report["gap"]
+            if p == "3":
+                assert (code, gap) == (2, None)
+                assert report["witness_form_value"] > 0
+            else:
+                assert code == 0
+                assert gap["oracle_gamma"] == pytest.approx(gap["gamma"], rel=1e-12, abs=0.0)
 
 
 class TestGlue:
@@ -339,6 +349,19 @@ gap: undefined (not of p-negative type)
 witness (zero-sum, positive form value 0.5): -0.25 0.5 -0.25
 """,
         id="analyze-witness",
+    ),
+    pytest.param(
+        ["analyze", "line3.txt", "--p", "2", "--cap", "2"], 0,
+        """\
+points: 3  labels: u v w
+diameter 2  min distance 1  ratio 2
+exponent p = 2
+classification: NegativeTypeNonStrict  [boundary]
+lambda[n-1] = -0.449489742783  lambda[n] = 4.44948974278
+M_p = inf
+gap bounds: [0, 0]  (non-strict: gap is exactly 0)
+""",
+        id="analyze-non-strict-bounds",
     ),
     pytest.param(
         ["glue", "x2_ab.txt", "x2_cd.txt", "--c", "1"], 0,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from math import inf
 
 import numpy as np
@@ -10,20 +11,27 @@ from scipy.linalg import lu_factor, lu_solve
 
 from helpers import (
     caterpillar,
+    example_space,
+    line_space,
     random_euclidean,
+    random_graph_metric,
     random_ultrametric,
     reference_sign_maximum,
     repeated_height_ultrametric,
+    singular_crossing,
 )
 from negtype import (
     Classification,
     GapMethod,
+    GlueSpec,
     certify,
     discrete_space,
     gamma_discrete,
     gap_definition_check,
     gap_exact,
     gap_numeric_oracle,
+    glue_spaces,
+    glue_type_condition,
     hat_matrix,
     p_distance_matrix,
     scale_space,
@@ -66,6 +74,38 @@ def collinear_space(n=6):
     return validate_metric([f"x{i}" for i in range(n)], np.abs(x[:, None] - x[None, :]))
 
 
+# the complete bipartite graph K_{2,3}, not of 1-negative type
+K23 = validate_metric(
+    list("abcde"),
+    [[0, 2, 1, 1, 1], [2, 0, 1, 1, 1], [1, 1, 0, 2, 2], [1, 1, 2, 0, 2], [1, 1, 2, 2, 0]],
+)
+
+# (id, space, p) not of p-negative type, on every branch that finds it:
+# (b | 1) < 0 (line3), two positive eigenvalues, and a singular D_p with 1
+# outside its range (the crossings)
+NOT_NEGATIVE_TYPE = [
+    ("line3-p3", line_space(), 3.0),
+    ("collinear4-p3", collinear_space(4), 3.0),  # tied largest magnitudes
+    ("K23-p1", K23, 1.0),
+    *((f"euclidean8-p{p:g}", random_euclidean(np.random.default_rng(5), 8), p)
+      for p in (2.5, 3.0, 4.0, 8.0)),
+    *((f"graph{seed}-p2", random_graph_metric(np.random.default_rng(100 + seed), 8), 2.0)
+      for seed in range(3)),
+    *((f"crossing{seed}", *singular_crossing(seed)) for seed in range(8)),
+]
+
+
+def assert_witness(dp, cert):
+    """The witness is zero-sum, 1-normalized, signed by its largest-magnitude
+    entry, and the form is positive at it."""
+    w = cert.witness
+    assert cert.classification is Classification.NOT_NEGATIVE_TYPE
+    assert np.abs(w).sum() == pytest.approx(1.0, abs=1e-14)
+    assert abs(w.sum()) <= 1e-10
+    assert w[np.abs(w).argmax()] > 0
+    assert w @ dp.entries @ w > 0
+
+
 class TestCertify:
     def test_discrete_spaces_are_strict(self):
         for n in (2, 3, 5, 8):
@@ -94,13 +134,69 @@ class TestCertify:
         assert cert.m_p == inf
 
     def test_line_p3_not_negative_type(self, line3):
-        cert = certify(dp_of(line3, 3.0))
-        assert cert.classification is Classification.NOT_NEGATIVE_TYPE
-        witness = cert.witness
-        assert witness is not None
-        assert abs(witness.sum()) <= 1e-10
         dp = dp_of(line3, 3.0)
-        assert witness @ dp.entries @ witness > 0
+        cert = certify(dp)
+        assert cert.b_dot_one < 0  # so the witness is built from b
+        assert_witness(dp, cert)
+        assert np.allclose(cert.witness, [-0.25, 0.5, -0.25], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "space, p", [pytest.param(space, p, id=name) for name, space, p in NOT_NEGATIVE_TYPE]
+    )
+    @pytest.mark.parametrize("flipped", [slice(None), slice(-1, None), slice(-2, -1)])
+    def test_witness_from_the_eigenpairs(self, monkeypatch, space, p, flipped):
+        # LAPACK may return either sign of each eigenvector; the witness does
+        # not depend on it
+        dp = dp_of(space, p)
+        cert = certify(dp)
+        assert_witness(dp, cert)
+        real = spectral.sym_eigen
+
+        def negated(a):
+            spectrum = real(a)
+            vectors = spectrum.eigenvectors.copy()
+            vectors[:, flipped] *= -1.0
+            return replace(spectrum, eigenvectors=vectors)
+
+        monkeypatch.setattr(spectral, "sym_eigen", negated)
+        assert np.array_equal(certify(dp).witness, cert.witness)
+
+    def test_witness_with_a_form_not_above_zero_fails(self, monkeypatch):
+        # eigenvectors in the wrong columns make w from two negative directions
+        real = spectral.sym_eigen
+        monkeypatch.setattr(
+            spectral, "sym_eigen",
+            lambda a: replace(real(a), eigenvectors=real(a).eigenvectors[:, ::-1]),
+        )
+        with pytest.raises(ToleranceFailure, match=r"witness form value -\S+ is not above limit 0"):
+            certify(dp_of(K23, 1.0))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_singular_crossing_has_no_b(self, seed):
+        space, p = singular_crossing(seed)
+        cert = certify(dp_of(space, p))
+        assert cert.classification is Classification.NOT_NEGATIVE_TYPE
+        assert abs(cert.lambda_penultimate) <= cert.zero_tol
+        assert cert.b is None and cert.lu is None
+
+    @pytest.mark.parametrize(
+        "space, p, classification, lu_calls",
+        [
+            pytest.param(line_space(), 1.0, "StrictNegativeType", 1, id="strict"),
+            pytest.param(line_space(), 2.0, "NegativeTypeNonStrict", 1, id="boundary"),
+            pytest.param(collinear_space(), 2.0, "NegativeTypeNonStrict", 0,
+                         id="singular-non-strict"),
+            pytest.param(K23, 1.0, "NotNegativeType", 0, id="two-positive-eigenvalues"),
+            pytest.param(line_space(), 3.0, "NotNegativeType", 1, id="b-dot-one-negative"),
+            pytest.param(*singular_crossing(0), "NotNegativeType", 0, id="singular-without-b"),
+            pytest.param(example_space(), 1.0, "StrictNegativeType", 1, id="ultrametric"),
+        ],
+    )
+    def test_one_eigendecomposition_on_every_path(
+        self, factorization_calls, space, p, classification, lu_calls
+    ):
+        assert certify(dp_of(space, p)).classification.value == classification
+        assert factorization_calls == {"sym_eigen": 1, "lu_factor": lu_calls}
 
     def test_single_point(self):
         cert = certify(dp_of(validate_metric(["x"], [[0.0]])))
@@ -182,6 +278,43 @@ class TestCertify:
             x += (1.0 - x.sum(axis=1, keepdims=True)) / space.n  # project onto sum one
             forms = np.einsum("ij,ij->i", x @ dp.entries, x)
             assert (forms <= cert.m_p + 1e-9).all()
+
+
+def unit_summary(s, corpus):
+    """Classification, M_p / s^p and gamma / s^p (None when undefined) of line3
+    at p = 1, 2 and 3, of the corpus at p = 1, and of a glued pair (margin in
+    place of M_p), every distance multiplied by s."""
+    two = validate_metric(["y1", "y2"], [[0.0, 1.0], [1.0, 0.0]])
+    out = []
+    for space, p in [(line_space(), 1.0), (line_space(), 2.0), (line_space(), 3.0)] + [
+        (space, 1.0) for space in corpus
+    ]:
+        dp = dp_of(scale_space(space, s), p)
+        cert = certify(dp)
+        defined = cert.classification is not Classification.NOT_NEGATIVE_TYPE
+        gamma = gap_exact(dp, cert=cert).gamma / s**p if defined else None
+        out.append((cert.classification, cert.m_p / s**p, gamma))
+    spec = GlueSpec(scale_space(discrete_space(3), s), scale_space(two, s), s)
+    glued = glue_type_condition(spec, 1.0)
+    gamma = gap_exact(dp_of(glue_spaces(spec))).gamma / s
+    out.append((glued.classification, glued.margin / s, gamma))
+    return out
+
+
+@pytest.fixture(scope="module")
+def unit_base(corpus):
+    return unit_summary(1.0, corpus)
+
+
+class TestUnitOfDistance:
+    @pytest.mark.parametrize("k", range(-12, 13))
+    def test_decisions_do_not_depend_on_the_unit(self, corpus, unit_base, k):
+        for (kind, m_p, gamma), (kind0, m_p0, gamma0) in zip(
+            unit_summary(10.0**k, corpus), unit_base, strict=True
+        ):
+            assert kind is kind0
+            assert m_p == pytest.approx(m_p0, rel=1e-9, abs=0.0)
+            assert gamma == (None if gamma0 is None else pytest.approx(gamma0, rel=1e-9, abs=0.0))
 
 
 class TestMConstant:

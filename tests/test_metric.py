@@ -541,3 +541,20 @@ class TestParsers:
     def test_edge_list_nonpositive_weight(self):
         with pytest.raises(ParseError):
             parse_edge_list_text("a b 0\n")
+
+    @pytest.mark.parametrize(
+        "line, edge",
+        [
+            pytest.param("b b 2", ("b", "b", 2.0), id="self-loop"),
+            pytest.param("b c -1", ("b", "c", -1.0), id="negative-weight"),
+            pytest.param("b c nan", ("b", "c", float("nan")), id="nan-weight"),
+        ],
+    )
+    def test_edge_list_rejects_edges_by_the_graph_rule(self, line, edge):
+        # the parser and WeightedGraph apply one rule; the parser adds the line
+        with pytest.raises(ValueError) as direct:
+            WeightedGraph(("a", "b", "c"), (("a", "b", 1.0), edge))
+        with pytest.raises(ParseError) as info:
+            parse_edge_list_text(f"a b 1\n# c\n{line}\n")
+        assert info.value.line == 3
+        assert str(info.value) == f"line 3: {direct.value}"
