@@ -395,7 +395,8 @@ def gap_exact(
 
 
 def gap_definition_check(dp: PDistanceMatrix, gamma: float, x) -> bool:
-    """Whether the defining inequality holds at ``gamma`` for zero-sum ``x``."""
+    """Whether the defining inequality holds at ``gamma`` for zero-sum ``x``,
+    within 1e-12 ||x||_1^2 (gamma / 2 + max|D_p|), in the unit d^p of its terms."""
     x = np.asarray(x, dtype=np.float64)
     norm1 = float(np.abs(x).sum())
     if norm1 == 0.0:
@@ -403,7 +404,7 @@ def gap_definition_check(dp: PDistanceMatrix, gamma: float, x) -> bool:
     if abs(float(x.sum())) > 1e-12 * norm1:
         raise NotInF0("x does not lie on the zero-sum hyperplane")
     lhs = 0.5 * gamma * norm1**2 + float(x @ dp.entries @ x)
-    return lhs <= 1e-12 * norm1**2 * max(1.0, gamma)
+    return lhs <= 1e-12 * norm1**2 * (0.5 * gamma + float(np.abs(dp.entries).max()))
 
 
 def gap_numeric_oracle(

@@ -1,10 +1,10 @@
 """The bridged-union construction and its inverse/gap algebra.
 
 Two disjoint spaces are joined by setting every cross-distance to a constant
-c with 2c at least the larger diameter. The p-distance matrix of the result
-has an explicit block inverse, its hat form splits into component terms plus
-a coupling square, and its gap is sandwiched by the harmonic combination of
-the component gaps.
+c with 2c at least the larger diameter. Its hat form splits into the component
+hat forms plus a coupling square over the margin 2c^p - M_p(left) - M_p(right),
+its gap is sandwiched by the harmonic combination of the component gaps, and
+the inverse of its p-distance matrix is read from the component certificates.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     LabelCollision,
 )
 from .metric import FiniteMetricSpace, PDistanceMatrix, p_distance_matrix, validate_metric
-from .spectral import refined_solve
+from .spectral import refined_solve  # noqa: F401 (unused; bench/test_bench.py pins this tracer binding)
 
 
 @dataclass(frozen=True)
@@ -140,59 +140,28 @@ def _require_strict_margin(spec: GlueSpec, p: float) -> GlueTypeResult:
 def glued_inverse(
     dp1: PDistanceMatrix, dp2: PDistanceMatrix, c: float, p: float
 ) -> np.ndarray:
-    """Block inverse of the glued p-distance matrix.
+    """Inverse of the glued p-distance matrix, from the component certificates.
 
-    Uses the two-sided rank-one-corrected block formula when both components
-    have at least two points, and the bordered formula when one side is a
-    single point (whose 1x1 zero block the two-sided formula cannot invert).
+    A strict D_p has b = u_p / M_p and (b | 1) = 1 / M_p, so D_p^-1 is
+    u_p u_p^T / M_p - hat. The glued hat is hat_L (+) hat_R + w w^T / margin
+    with w = (u_L, -u_R) (see ``glued_hat_form``). With t = (c^p - M_R) / margin,
+    u_p = (t u_L, (1 - t) u_R) sums to one and D_p u_p = M_p 1 for
+    M_p = t M_L + (1 - t) c^p = (c^2p - M_L M_R) / margin. A single point has
+    hat 0, u_p = (1) and M_p = 0, so one expression covers every size.
     """
     spec = GlueSpec(left=dp1.source, right=dp2.source, c=c)
     if dp1.p != p or dp2.p != p:
         raise ValueError("component matrices were built with a different exponent")
-    _require_strict_margin(spec, p)
-    n, m = dp1.n, dp2.n
-    cp = c**p
-
-    if n == 1 and m == 1:
-        return np.array([[0.0, 1.0 / cp], [1.0 / cp, 0.0]])
-
-    if m == 1:
-        return _bordered_inverse(dp1.entries, cp, flip=False)
-    if n == 1:
-        return _bordered_inverse(dp2.entries, cp, flip=True)
-
-    inv1 = refined_solve(dp1.entries, np.eye(n))
-    inv2 = refined_solve(dp2.entries, np.eye(m))
-    x1 = refined_solve(dp1.entries, np.ones(n))
-    x2 = refined_solve(dp2.entries, np.ones(m))
-    s1, s2 = float(x1.sum()), float(x2.sum())
-    denom = 1.0 - cp**2 * s1 * s2
-    alpha = cp**2 * s2 / denom
-    beta = -cp / denom
-    gamma = cp**2 * s1 / denom
-    out = np.empty((n + m, n + m))
-    out[:n, :n] = inv1 + alpha * np.outer(x1, x1)
-    out[:n, n:] = beta * np.outer(x1, x2)
-    out[n:, :n] = beta * np.outer(x2, x1)
-    out[n:, n:] = inv2 + gamma * np.outer(x2, x2)
-    return out
-
-
-def _bordered_inverse(a: np.ndarray, cp: float, flip: bool) -> np.ndarray:
-    """Inverse of [[A, cp*1], [cp*1^T, 0]]; ``flip`` puts the point first."""
-    n = a.shape[0]
-    inv = refined_solve(a, np.eye(n))
-    x = refined_solve(a, np.ones(n))
-    s = float(x.sum())
-    out = np.empty((n + 1, n + 1))
-    out[:n, :n] = inv - np.outer(x, x) / s
-    out[:n, n] = x / (cp * s)
-    out[n, :n] = x / (cp * s)
-    out[n, n] = -1.0 / (cp**2 * s)
-    if flip:
-        order = [n] + list(range(n))
-        out = out[np.ix_(order, order)]
-    return out
+    dp1, dp2, cert1, cert2 = _component_certs(spec, p)
+    margin = _require_strict_margin(spec, p).margin
+    t = (c**p - cert2.m_p) / margin
+    u = np.concatenate([t * cert1.u_p, (1.0 - t) * cert2.u_p])
+    m_p = (c ** (2 * p) - cert1.m_p * cert2.m_p) / margin
+    w = np.concatenate([cert1.u_p, -cert2.u_p])
+    hat = np.outer(w, w) / margin
+    hat[: dp1.n, : dp1.n] += gap_mod.hat_matrix(dp1, cert1)
+    hat[dp1.n :, dp1.n :] += gap_mod.hat_matrix(dp2, cert2)
+    return np.outer(u, u) / m_p - hat
 
 
 def glued_hat_form(spec: GlueSpec, p: float, z) -> GluedHatForm:

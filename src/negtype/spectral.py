@@ -3,10 +3,10 @@
 Every other module consumes this contract. The classification tolerance is
 ``zero_tol = 1e-9 * spectral norm``, with no floor, so that it carries the
 unit of the matrix; quantities within it of zero are treated as zero. Solves
-use an LU factorization followed by fixed-precision iterative refinement,
-which keeps small matrix entries meaningful even when the entries span many
-orders of magnitude (large exponents p produce p-distance matrices with
-enormous dynamic range).
+take the LU factor that ``negtype.gap.certify`` made of D_p and add
+fixed-precision iterative refinement, which keeps small matrix entries
+meaningful even when the entries span many orders of magnitude (large
+exponents p produce p-distance matrices with enormous dynamic range).
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ def sym_eigen(a) -> Spectrum:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    if a.size and float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * scale:
+    if a.size and float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * float(np.abs(a).max()):
         raise NotSymmetric("matrix is not symmetric within tolerance")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(a)
@@ -55,16 +54,13 @@ def sym_eigen(a) -> Spectrum:
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors, zero_tol=tol)
 
 
-def refined_solve(a: np.ndarray, rhs: np.ndarray, lu=None) -> np.ndarray:
+def refined_solve(a: np.ndarray, rhs: np.ndarray, lu: tuple) -> np.ndarray:
     """LU solve plus fixed-precision iterative refinement.
 
-    Assumes ``a`` is nonsingular. ``lu`` is ``lu_factor(a)`` when the caller
-    already holds it; otherwise ``a`` is factored here. Refinement drives the
-    componentwise backward error toward machine precision, which plain LU does
-    not guarantee for badly graded matrices.
+    Assumes ``a`` is nonsingular; ``lu`` is ``lu_factor(a)``. Refinement drives
+    the componentwise backward error toward machine precision, which plain LU
+    does not guarantee for badly graded matrices.
     """
-    if lu is None:
-        lu = lu_factor(a)
     x = lu_solve(lu, rhs)
     for _ in range(_REFINE_SWEEPS):
         r = rhs - a @ x

@@ -258,10 +258,10 @@ class TestCertify:
         monkeypatch.setattr(
             spectral,
             "refined_solve",
-            lambda a, rhs, lu=None: solve(a, rhs, lu) * (1 + 1e-4 * np.arange(len(rhs))),
+            lambda a, rhs, lu: solve(a, rhs, lu) * (1 + 1e-4 * np.arange(len(rhs))),
         )
         dp = dp_of(example78)
-        b = spectral.refined_solve(dp.entries, np.ones(dp.n))
+        b = spectral.refined_solve(dp.entries, np.ones(dp.n), lu_factor(dp.entries))
         m_p = 1.0 / b.sum()
         residual = np.abs(dp.entries @ (b / b.sum()) - m_p).max()
         with pytest.raises(ToleranceFailure) as info:
@@ -592,6 +592,16 @@ class TestDefinitionCheck:
             assert gap_definition_check(dp, gamma, row)
         oracle = gap_numeric_oracle(dp, restarts=200, seed=0)
         assert not gap_definition_check(dp, gamma * 1.001, oracle.minimizer)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_limit_does_not_depend_on_the_unit(self, example78, p):
+        # the inequality is tight at the gap for x = hat z*, at every scale
+        for k in range(-12, 13):
+            dp = dp_of(scale_space(example78, 10.0**k), p)
+            result = gap_exact(dp)
+            x = hat_matrix(dp) @ result.z_star
+            assert gap_definition_check(dp, result.gamma, x)
+            assert not gap_definition_check(dp, result.gamma * (1.0 + 1e-6), x)
 
 
 class TestNumericOracle:

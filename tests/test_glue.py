@@ -17,7 +17,9 @@ from negtype import (
     glue_type_condition,
     glued_hat_form,
     glued_inverse,
+    mp_ultrametric_properties,
     p_distance_matrix,
+    scale_space,
     validate_metric,
 )
 from negtype.errors import (
@@ -41,6 +43,14 @@ def pair_x2():
     return relabel(discrete_space(2), "L"), relabel(discrete_space(2), "R")
 
 
+def bridged(rng, left, right, p):
+    """Glue at a random c between 1.05 and 1.6 times the least strict one."""
+    diam = max(left.dist.max(), right.dist.max())
+    m_total = certify(dp_of(left, p)).m_p + certify(dp_of(right, p)).m_p
+    c_floor = max(diam / 2.0, (m_total / 2.0) ** (1.0 / p)) or 1.0  # 0 for two points
+    return GlueSpec(left=left, right=right, c=float(c_floor * rng.uniform(1.05, 1.6)))
+
+
 def random_glue_pairs(count, seed=20240815):
     rng = np.random.default_rng(seed)
     pairs = []
@@ -48,11 +58,7 @@ def random_glue_pairs(count, seed=20240815):
         left = relabel(random_ultrametric(rng, int(rng.integers(2, 6))), "L")
         right = relabel(random_ultrametric(rng, int(rng.integers(1, 6))), "R")
         p = float(rng.choice([0.5, 1.0, 2.0]))
-        diam = max(left.dist.max(), right.dist.max())
-        m_total = certify(dp_of(left, p)).m_p + certify(dp_of(right, p)).m_p
-        c_floor = max(diam / 2.0, (m_total / 2.0) ** (1.0 / p))
-        c = float(c_floor * rng.uniform(1.05, 1.6))
-        pairs.append((GlueSpec(left=left, right=right, c=c), p))
+        pairs.append((bridged(rng, left, right, p), p))
     return pairs
 
 
@@ -169,10 +175,59 @@ class TestGluedInverse:
             residual = np.abs(inv @ glued_dp - np.eye(glued_dp.shape[0])).max()
             assert residual <= 1e-8
 
+    @pytest.mark.parametrize("point", ["left", "right", "both"])
+    def test_single_points_match_direct_inverse_at_every_scale(self, point):
+        # one expression for every size: a single point on either side or both
+        rng = np.random.default_rng({"left": 1, "right": 2, "both": 3}[point])
+        for _ in range(6):
+            sides = [relabel(random_ultrametric(rng, int(rng.integers(2, 6))), side)
+                     for side in "LR"]
+            if point != "right":
+                sides[0] = validate_metric(["L1"], [[0.0]])
+            if point != "left":
+                sides[1] = validate_metric(["R1"], [[0.0]])
+            for p in (0.5, 1.0, 2.0):
+                spec = bridged(rng, *sides, p)
+                unit = glued_inverse(dp_of(spec.left, p), dp_of(spec.right, p), spec.c, p)
+                for k in (-12, -6, 0, 6, 12):
+                    s = 10.0**k
+                    left, right = scale_space(spec.left, s), scale_space(spec.right, s)
+                    inv = glued_inverse(dp_of(left, p), dp_of(right, p), spec.c * s, p)
+                    glued = glue_spaces(GlueSpec(left=left, right=right, c=spec.c * s))
+                    direct = np.linalg.inv(dp_of(glued, p).entries)
+                    size = np.abs(direct).max()
+                    assert np.abs(inv - direct).max() <= 1e-12 * size
+                    assert np.abs(inv - unit / s**p).max() <= 1e-12 * size
+
     def test_boundary_rejected(self, pair_x2):
         left, right = pair_x2
         with pytest.raises(BoundaryOrWorse):
             glued_inverse(dp_of(left), dp_of(right), 0.5, 1.0)
+
+    def test_component_not_strict_rejected(self, line3):
+        right = relabel(discrete_space(2), "R")
+        with pytest.raises(ComponentNotStrict):
+            glued_inverse(dp_of(line3, 2.0), dp_of(right, 2.0), 5.0, 2.0)
+
+    def test_exponent_mismatch_rejected(self, pair_x2):
+        left, right = pair_x2
+        with pytest.raises(ValueError, match="different exponent"):
+            glued_inverse(dp_of(left, 2.0), dp_of(right, 2.0), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("call", ["glued_inverse", "glued_hat_form", "mp_ultrametric_properties"])
+def test_every_factor_belongs_to_a_certificate(call, example78, factorization_calls):
+    # D_p is factored only by ``certify``, which runs one eigh per LU factor
+    left = relabel(discrete_space(3), "L")
+    spec = GlueSpec(left=left, right=example78, c=20.0)
+    if call == "glued_inverse":
+        glued_inverse(dp_of(left), dp_of(example78), spec.c, 1.0)
+    elif call == "glued_hat_form":
+        glued_hat_form(spec, 1.0, np.ones(10))
+    else:
+        mp_ultrametric_properties(example78, 1.0)
+    assert factorization_calls["lu_factor"] > 0
+    assert factorization_calls["lu_factor"] == factorization_calls["sym_eigen"]
 
 
 class TestGluedHatForm:

@@ -35,6 +35,17 @@ def test_not_symmetric():
         sym_eigen([[0.0, 1.0], [2.0, 0.0]])
 
 
+def test_symmetry_limit_carries_the_unit():
+    # the asymmetry is measured against max|a|, with no floor at 1
+    with pytest.raises(NotSymmetric):
+        sym_eigen([[0.0, 1e-13], [2e-13, 0.0]])
+    for scale in (1e-13, 1.0, 1e13):
+        spec = sym_eigen(scale * np.array([[0.0, 2.0], [2.0, 0.0]]))
+        assert np.allclose(spec.eigenvalues, [-2.0 * scale, 2.0 * scale], rtol=1e-12, atol=0.0)
+        with pytest.raises(NotSymmetric):
+            sym_eigen(scale * np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]]))
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         sym_eigen(np.ones((3, 4)))
@@ -98,13 +109,15 @@ class TestSolve:
         a = np.ones((3, 3)) - np.eye(3)
         # verify by direct multiplication: (J - I) @ (0.5 * ones) = ones
         assert np.allclose(a @ (0.5 * np.ones(3)), np.ones(3))
-        assert np.allclose(refined_solve(a, np.ones(3)), 0.5 * np.ones(3), atol=1e-12)
+        assert np.allclose(refined_solve(a, np.ones(3), lu_factor(a)), 0.5 * np.ones(3), atol=1e-12)
 
     def test_identity(self):
-        assert np.array_equal(refined_solve(np.eye(3), np.array([1.0, 0.0, 0.0])), [1.0, 0.0, 0.0])
+        a, rhs = np.eye(3), np.array([1.0, 0.0, 0.0])
+        assert np.array_equal(refined_solve(a, rhs, lu_factor(a)), rhs)
 
     def test_swap_matrix(self):
-        solution = refined_solve(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2))
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        solution = refined_solve(a, np.ones(2), lu_factor(a))
         assert np.allclose(solution, np.ones(2), atol=1e-14)
         assert abs(solution.sum() - 2.0) <= 1e-14
 
@@ -115,9 +128,7 @@ class TestSolve:
         a = rng.standard_normal((n, n))
         a = a @ a.T + np.eye(n) if spd else 0.5 * (a + a.T) + 0.1 * np.eye(n)
         rhs = rng.standard_normal(n)
-        solution = refined_solve(a, rhs)
-        # a factor the caller already holds gives the same bits
-        assert np.array_equal(refined_solve(a, rhs, lu_factor(a)), solution)
+        solution = refined_solve(a, rhs, lu_factor(a))
         spectrum = sym_eigen(a)
         if np.abs(spectrum.eigenvalues).min() >= spectrum.zero_tol:
             err = np.linalg.norm(a @ solution - rhs)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from negtype import (
     ultrametric_from_graph,
     validate_metric,
 )
+from negtype import gap
 from negtype.errors import NegativeEntry, NotSymmetric, NotUltrametric
 from negtype.metric import _ball_tree, _spanning_tree
 
@@ -350,6 +352,25 @@ class TestDiagnostics:
     def test_not_ultrametric(self, line3):
         with pytest.raises(NotUltrametric):
             mp_ultrametric_properties(line3, 1.0)
+
+    def test_bound_holds_at_every_scale(self, example78, corpus):
+        # the tolerance is 1e-12 of the bound, so it carries the unit d^p
+        for space in [example78, *corpus[:20]]:
+            for p in (0.5, 1.0, 2.0):
+                for k in range(-12, 13):
+                    report = mp_ultrametric_properties(scale_space(space, 10.0**k), p)
+                    assert report.inverse_entries_positive
+                    assert report.mp_bound_satisfied
+
+    def test_mp_above_the_bound_fails_at_small_scale(self, example78, monkeypatch):
+        space = scale_space(example78, 1e-13)
+        bound = mp_ultrametric_properties(space, 1.0).bound
+        above = bound * (1.0 + 1e-9)
+        real = gap.certify
+        monkeypatch.setattr(gap, "certify", lambda dp: replace(real(dp), m_p=above))
+        report = mp_ultrametric_properties(space, 1.0)
+        assert report.m_p == above
+        assert not report.mp_bound_satisfied
 
 
 class TestUltrametricLemmas:
