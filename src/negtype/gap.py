@@ -61,9 +61,10 @@ class GapMethod(Enum):
 class NegTypeCertificate:
     """Spectral and solvability evidence for the type classification.
 
-    ``b`` solves D_p b = 1 (least-residual when D_p is singular); ``lu`` is
-    the LU factor of D_p that solved for it, or None when ``certify`` took b
-    from the eigenpairs or found no b. ``hat_matrix`` reuses ``lu``.
+    ``b`` solves D_p b = 1: one LU solve, or the least-residual solution
+    from the eigenpairs when D_p is singular. ``inverse`` is D_p^-1 from a
+    second LU solve, or None when ``certify`` took b from the eigenpairs or
+    found no b; ``hat_matrix`` refines it.
     """
 
     classification: Classification
@@ -78,7 +79,7 @@ class NegTypeCertificate:
     u_p: np.ndarray | None = None
     witness: np.ndarray | None = None
     boundary_warning: bool = False
-    lu: tuple | None = None  # scipy.linalg.lu_factor(D_p)
+    inverse: np.ndarray | None = None  # D_p^-1 from spectral.lu_factor
 
     @property
     def strict(self) -> bool:
@@ -120,9 +121,10 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
     ``zero_tol`` (units of d^p), (b | 1) with 1e-9 ||b||_1 (units of 1/d^p),
     and the residual of D_p b = 1 with 1e-9 ||1||.
 
-    D_p is decomposed here once: one eigendecomposition, and one LU factor
-    when b is solved for by LU (ultrametric or nonsingular input), which the
-    certificate keeps for ``hat_matrix``. A singular D_p takes the
+    D_p is decomposed here once: one eigendecomposition, and one
+    ``spectral.lu_factor`` when b is solved for by LU (ultrametric or
+    nonsingular input), which also gives the inverse the certificate keeps
+    for ``hat_matrix``. A singular D_p takes the
     least-residual b from the eigenpairs, with components under ``zero_tol``
     dropped.
 
@@ -154,13 +156,12 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
     lam_max = float(lam[-1])
     ultrametric = is_ultrametric(dp.source)
     nonsingular = ultrametric or bool(np.abs(lam).min() > ztol)
-    lu = b = b_dot_one = None
+    inverse = b = b_dot_one = None
 
     # negative type needs a single significantly positive eigenvalue and a b
     if ultrametric or (lam_max > ztol and lam_penult <= ztol):
         if nonsingular:
-            lu = spectral.lu_factor(entries)
-            b = spectral.refined_solve(entries, np.ones(n), lu)
+            b, inverse = spectral.lu_factor(entries)
         else:
             inv = np.where(np.abs(lam) < ztol, 0.0, 1.0 / np.where(lam == 0.0, 1.0, lam))
             b = vectors @ ((vectors.T @ np.ones(n)) * inv)
@@ -204,7 +205,7 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
         lambda_max=lam_max,
         b=b,
         b_dot_one=b_dot_one,
-        lu=lu,
+        inverse=inverse,
         zero_tol=ztol,
         eigenvalues=lam,
         **fields,
@@ -224,7 +225,9 @@ def hat_matrix(dp: PDistanceMatrix, cert: NegTypeCertificate | None = None) -> n
     """The rank-one-corrected negative inverse whose sign maximum gives the gap.
 
     Requires a strict space (nonsingular matrix with (D_p^-1 1 | 1) > 0).
-    The result annihilates the all-ones vector.
+    D_p^-1 is the certificate's inverse after up to three refinement sweeps
+    (``spectral.refined_solve``); nothing is factored here. The result
+    annihilates the all-ones vector.
     """
     if cert is None:
         cert = certify(dp)
@@ -232,7 +235,7 @@ def hat_matrix(dp: PDistanceMatrix, cert: NegTypeCertificate | None = None) -> n
         raise NotStrict("hat matrix is defined only for strict p-negative type")
     if dp.n == 1:
         return np.zeros((1, 1))
-    inv = spectral.refined_solve(dp.entries, np.eye(dp.n), cert.lu)
+    inv = spectral.refined_solve(dp.entries, np.eye(dp.n), cert.inverse, cert.inverse)
     b = cert.b
     hat = np.outer(b, b) / b.sum() - inv
     hat = 0.5 * (hat + hat.T)

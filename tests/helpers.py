@@ -8,7 +8,8 @@ the ultrametric ball tree, apart from ``brute_parse_matrix_text``, a
 reference matrix-file reader that converts every token. ``singular_crossing``
 builds graph metrics whose p-distance matrix is singular and has 1 outside
 its range. ``reference_sign_maximum`` is the exhaustive sign enumerator that the
-bound-pruned one in ``negtype.gap`` replaced.
+bound-pruned one in ``negtype.gap`` replaced, and ``reference_refined_solve``
+the scipy LU solve with refinement that once gave ``certify`` its b.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from math import inf
 
 import numpy as np
+from scipy.linalg import lu_solve
 
 from negtype import (
     FiniteMetricSpace,
@@ -340,3 +342,23 @@ def reference_sign_maximum(
         k = int(ks[vs >= best - tol][-1])
     z_star = np.concatenate([z_high[:, k >> b], z_low[:, k & ((1 << b) - 1)]])
     return z_star, float(z_star @ hat @ z_star)
+
+
+# The scipy solve that preceded numpy's in negtype.spectral and negtype.gap.certify.
+_REFINE_SWEEPS = 3
+
+
+def reference_refined_solve(a: np.ndarray, rhs: np.ndarray, lu: tuple) -> np.ndarray:
+    """LU solve plus fixed-precision iterative refinement.
+
+    Assumes ``a`` is nonsingular; ``lu`` is ``lu_factor(a)``. Refinement drives
+    the componentwise backward error toward machine precision, which plain LU
+    does not guarantee for badly graded matrices.
+    """
+    x = lu_solve(lu, rhs)
+    for _ in range(_REFINE_SWEEPS):
+        r = rhs - a @ x
+        if not np.abs(r).any():
+            break
+        x = x + lu_solve(lu, r)
+    return x

@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import negtype
-from helpers import caterpillar, random_euclidean
+from helpers import caterpillar, random_euclidean, random_ultrametric
 from negtype import p_distance_matrix, spectral
 from negtype.cli import _build_parser, _load_matrix_space, _load_ultra_space, main
 
@@ -131,6 +132,19 @@ class TestAnalyze:
         assert code == 1
         assert out == ""
         assert err == "error: --seed must be at least 0, got -1\n"
+
+    def test_zero_pivot_in_a_valid_ultrametric_exits_three(self, capsys, tmp_path):
+        # the file is a valid ultrametric; at p = 20 LU meets an exactly zero pivot
+        space = random_ultrametric(np.random.default_rng(11), 20, lo=1.0, hi=10.0)
+        path = tmp_path / "ultrametric20.txt"
+        rows = "\n".join(" ".join(repr(float(x)) for x in row) for row in space.dist)
+        path.write_text(f"20\n{rows}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "analyze", path, "--p", "20")
+        assert (code, out, caught) == (3, "", [])
+        assert err == ("error: LU of the 20x20 matrix is singular: "
+                       "a pivot of magnitude 0, not above limit 0\n")
 
     def test_blas_thread_count_does_not_change_output(self, tmp_path):
         # n = 24 has the largest enumeration tables under the default cap; at
@@ -463,3 +477,29 @@ class TestSinglePoint:
         assert code == 0
         assert err == ""
         assert json.loads(out)["gap"]["oracle_gamma"] == float("inf")
+
+
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+from negtype.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_no_command_loads_scipy():
+    # a fresh process: the test suite imports scipy itself
+    src = str(Path(negtype.__file__).resolve().parent.parent)
+    commands = [
+        ["analyze", DATA / "example_matrix.txt", "--oracle"],
+        ["analyze", DATA / "line3.txt", "--p", "3"],
+        ["ultra", "bounds", DATA / "example_graph.txt", "--p", "1"],
+        ["glue", DATA / "x5_a.txt", DATA / "x5_b.txt", "--c", "5"],
+    ]
+    argv = json.dumps([[str(a) for a in command] for command in commands])
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert json.loads(done.stdout) == [[0, 2, 0, 0], []]

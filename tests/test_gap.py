@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 from math import inf
 
@@ -16,6 +17,7 @@ from helpers import (
     random_euclidean,
     random_graph_metric,
     random_ultrametric,
+    reference_refined_solve,
     reference_sign_maximum,
     repeated_height_ultrametric,
     singular_crossing,
@@ -38,7 +40,14 @@ from negtype import (
     validate_metric,
 )
 from negtype import gap, spectral
-from negtype.errors import NotInF0, NotNegativeType, NotStrict, ToleranceFailure, TooManyPoints
+from negtype.errors import (
+    NegTypeError,
+    NotInF0,
+    NotNegativeType,
+    NotStrict,
+    ToleranceFailure,
+    TooManyPoints,
+)
 from negtype.gap import _sign_maximum
 
 
@@ -177,7 +186,7 @@ class TestCertify:
         cert = certify(dp_of(space, p))
         assert cert.classification is Classification.NOT_NEGATIVE_TYPE
         assert abs(cert.lambda_penultimate) <= cert.zero_tol
-        assert cert.b is None and cert.lu is None
+        assert cert.b is None and cert.inverse is None
 
     @pytest.mark.parametrize(
         "space, p, classification, lu_calls",
@@ -234,7 +243,7 @@ class TestCertify:
         dp = dp_of(space, p)
         cert = certify(dp)
         assert cert.classification is Classification.NEGATIVE_TYPE_NON_STRICT
-        assert cert.lu is None
+        assert cert.inverse is None
         spectrum = spectral.sym_eigen(dp.entries)
         null = spectrum.eigenvectors[:, np.abs(spectrum.eigenvalues) < cert.zero_tol]
         assert null.shape[1] > 0
@@ -254,20 +263,55 @@ class TestCertify:
             assert cert.b_dot_one > cert.zero_tol
 
     def test_tolerance_failure_states_value_and_limit(self, example78, monkeypatch):
-        solve = spectral.refined_solve
-        monkeypatch.setattr(
-            spectral,
-            "refined_solve",
-            lambda a, rhs, lu: solve(a, rhs, lu) * (1 + 1e-4 * np.arange(len(rhs))),
-        )
+        real = spectral.lu_factor
+
+        def perturbed(a):
+            b, inverse = real(a)
+            return b * (1 + 1e-4 * np.arange(len(b))), inverse
+
+        monkeypatch.setattr(spectral, "lu_factor", perturbed)
         dp = dp_of(example78)
-        b = spectral.refined_solve(dp.entries, np.ones(dp.n), lu_factor(dp.entries))
+        b, _ = perturbed(dp.entries)
         m_p = 1.0 / b.sum()
         residual = np.abs(dp.entries @ (b / b.sum()) - m_p).max()
         with pytest.raises(ToleranceFailure) as info:
             certify(dp)
         assert f"{residual:.3g}" in str(info.value)
         assert f"{1e-8 * m_p:.3g}" in str(info.value)
+
+    def test_keeps_every_certificate_of_the_scipy_solve(self, corpus, monkeypatch):
+        # Reference: b from scipy's LU solve with up to three refinement sweeps.
+        # Every case it certifies keeps its class and M_p, and every failure
+        # is a NegTypeError (an exception of any other type fails the test).
+        def reference(a):
+            lu = lu_factor(a)
+            n = a.shape[0]
+            return reference_refined_solve(a, np.ones(n), lu), reference_refined_solve(a, np.eye(n), lu)
+
+        rng = np.random.default_rng(11)
+        spaces = [random_ultrametric(rng, n, lo=1.0, hi=hi)
+                  for n in (10, 20, 30, 60) for hi in (10.0, 100.0) for _ in range(3)]
+        certified = 0
+        for space in spaces + corpus[:40]:
+            for p in (0.5, 1.0, 2.0, 4.0, 8.0, 10.0, 12.0, 14.0, 16.0, 20.0):
+                dp = dp_of(space, p)
+                try:
+                    cert = certify(dp)
+                except NegTypeError:
+                    cert = None
+                with monkeypatch.context() as patch, warnings.catch_warnings():
+                    # scipy warns of an exactly zero pivot, then its solve rejects the NaNs
+                    warnings.simplefilter("ignore")
+                    patch.setattr(spectral, "lu_factor", reference)
+                    try:
+                        expected = certify(dp)
+                    except (NegTypeError, ValueError):
+                        continue
+                certified += 1
+                assert cert is not None, (space.n, p)
+                assert cert.classification is expected.classification, (space.n, p)
+                assert cert.m_p == pytest.approx(expected.m_p, rel=1e-9, abs=0.0), (space.n, p)
+        assert certified > 600  # of 640 cases
 
     def test_m_p_upper_bound_over_sum_one_vectors(self, example78):
         rng = np.random.default_rng(5)
@@ -359,7 +403,7 @@ class TestHatMatrix:
     def test_reuses_the_certificate_factor(self, example78, monkeypatch):
         dp = dp_of(example78)
         cert = certify(dp)
-        assert cert.lu is not None
+        assert cert.inverse is not None
         expected = hat_matrix(dp, cert)
 
         def disabled(*args, **kwargs):

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lu_factor
-
 from negtype import discrete_space, p_distance_matrix, scale_space, sym_eigen
-from negtype.spectral import refined_solve
-from negtype.errors import DimensionMismatch, NotSymmetric
+from negtype.spectral import lu_factor, refined_solve
+from negtype.errors import DimensionMismatch, NotSymmetric, ToleranceFailure
 
 
 def test_discrete_space_spectrum():
@@ -104,20 +102,26 @@ def test_eigenpair_residuals():
         assert np.linalg.norm(residual) <= spec.zero_tol
 
 
+def solve(a, rhs):
+    """Refined solution of a x = rhs, starting from the held inverse times rhs."""
+    _, inverse = lu_factor(a)
+    return refined_solve(a, rhs, inverse @ rhs, inverse)
+
+
 class TestSolve:
     def test_all_ones_minus_identity(self):
         a = np.ones((3, 3)) - np.eye(3)
         # verify by direct multiplication: (J - I) @ (0.5 * ones) = ones
         assert np.allclose(a @ (0.5 * np.ones(3)), np.ones(3))
-        assert np.allclose(refined_solve(a, np.ones(3), lu_factor(a)), 0.5 * np.ones(3), atol=1e-12)
+        assert np.allclose(solve(a, np.ones(3)), 0.5 * np.ones(3), atol=1e-12)
 
     def test_identity(self):
         a, rhs = np.eye(3), np.array([1.0, 0.0, 0.0])
-        assert np.array_equal(refined_solve(a, rhs, lu_factor(a)), rhs)
+        assert np.array_equal(solve(a, rhs), rhs)
 
     def test_swap_matrix(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        solution = refined_solve(a, np.ones(2), lu_factor(a))
+        solution = solve(a, np.ones(2))
         assert np.allclose(solution, np.ones(2), atol=1e-14)
         assert abs(solution.sum() - 2.0) <= 1e-14
 
@@ -128,8 +132,26 @@ class TestSolve:
         a = rng.standard_normal((n, n))
         a = a @ a.T + np.eye(n) if spd else 0.5 * (a + a.T) + 0.1 * np.eye(n)
         rhs = rng.standard_normal(n)
-        solution = refined_solve(a, rhs, lu_factor(a))
+        solution = solve(a, rhs)
         spectrum = sym_eigen(a)
         if np.abs(spectrum.eigenvalues).min() >= spectrum.zero_tol:
             err = np.linalg.norm(a @ solution - rhs)
             assert err <= 1e-9 * max(1.0, np.linalg.norm(rhs))
+
+    def test_lu_factor_solves_one_and_inverts(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((8, 8)) + 8.0 * np.eye(8)
+        b, inverse = lu_factor(a)
+        assert np.abs(a @ b - 1.0).max() <= 1e-13
+        assert np.abs(a @ inverse - np.eye(8)).max() <= 1e-13
+
+    def test_exactly_singular_is_a_tolerance_failure(self):
+        a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]])
+        message = r"LU of the 3x3 matrix is singular: a pivot of magnitude 0, not above limit 0"
+        with pytest.raises(ToleranceFailure, match=message):
+            lu_factor(a)
+
+    def test_non_finite_solution_is_a_tolerance_failure(self):
+        # the pivots are nonzero, but 1 / 1e-310 overflows: inf in b, inf and nan in the inverse
+        with pytest.raises(ToleranceFailure, match=r"has 3 non-finite entries, limit 0"):
+            lu_factor(np.diag([1e-310, 1.0]))
