@@ -61,10 +61,9 @@ class GapMethod(Enum):
 class NegTypeCertificate:
     """Spectral and solvability evidence for the type classification.
 
-    ``b`` solves D_p b = 1: one LU solve, or the least-residual solution
-    from the eigenpairs when D_p is singular. ``inverse`` is D_p^-1 from a
-    second LU solve, or None when ``certify`` took b from the eigenpairs or
-    found no b; ``hat_matrix`` refines it.
+    It holds only what the classification read. ``b`` solves D_p b = 1: one
+    LU solve, or the least-residual solution from the eigenpairs when D_p is
+    singular. D_p^-1 is not kept; ``hat_matrix`` forms it.
     """
 
     classification: Classification
@@ -79,7 +78,6 @@ class NegTypeCertificate:
     u_p: np.ndarray | None = None
     witness: np.ndarray | None = None
     boundary_warning: bool = False
-    inverse: np.ndarray | None = None  # D_p^-1 from spectral.lu_factor
 
     @property
     def strict(self) -> bool:
@@ -121,12 +119,10 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
     ``zero_tol`` (units of d^p), (b | 1) with 1e-9 ||b||_1 (units of 1/d^p),
     and the residual of D_p b = 1 with 1e-9 ||1||.
 
-    D_p is decomposed here once: one eigendecomposition, and one
-    ``spectral.lu_factor`` when b is solved for by LU (ultrametric or
-    nonsingular input), which also gives the inverse the certificate keeps
-    for ``hat_matrix``. A singular D_p takes the
-    least-residual b from the eigenpairs, with components under ``zero_tol``
-    dropped.
+    D_p is decomposed here once: one eigendecomposition, and one solve
+    ``spectral.lu_factor`` for b when D_p is ultrametric or nonsingular; no
+    inverse is formed. A singular D_p takes the least-residual b from the
+    eigenpairs, with components under ``zero_tol`` dropped.
 
     A space not of negative type gets its witness from the same eigenpairs:
     with v the top eigenvector and y = b when b exists (then (b | 1) < 0),
@@ -156,12 +152,12 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
     lam_max = float(lam[-1])
     ultrametric = is_ultrametric(dp.source)
     nonsingular = ultrametric or bool(np.abs(lam).min() > ztol)
-    inverse = b = b_dot_one = None
+    b = b_dot_one = None
 
     # negative type needs a single significantly positive eigenvalue and a b
     if ultrametric or (lam_max > ztol and lam_penult <= ztol):
         if nonsingular:
-            b, inverse = spectral.lu_factor(entries)
+            b = spectral.lu_factor(entries)
         else:
             inv = np.where(np.abs(lam) < ztol, 0.0, 1.0 / np.where(lam == 0.0, 1.0, lam))
             b = vectors @ ((vectors.T @ np.ones(n)) * inv)
@@ -205,7 +201,6 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
         lambda_max=lam_max,
         b=b,
         b_dot_one=b_dot_one,
-        inverse=inverse,
         zero_tol=ztol,
         eigenvalues=lam,
         **fields,
@@ -225,9 +220,11 @@ def hat_matrix(dp: PDistanceMatrix, cert: NegTypeCertificate | None = None) -> n
     """The rank-one-corrected negative inverse whose sign maximum gives the gap.
 
     Requires a strict space (nonsingular matrix with (D_p^-1 1 | 1) > 0).
-    D_p^-1 is the certificate's inverse after up to three refinement sweeps
-    (``spectral.refined_solve``); nothing is factored here. The result
-    annihilates the all-ones vector.
+    Only here is D_p^-1 formed: ``np.linalg.inv`` repeats the LU that
+    ``certify``'s solve ran without a zero pivot, and up to three sweeps of
+    ``spectral.refined_solve`` refine it. A non-finite entry raises
+    ToleranceFailure, which the row-sum test (limit scaling with max|hat|)
+    would miss. The result annihilates the all-ones vector.
     """
     if cert is None:
         cert = certify(dp)
@@ -235,7 +232,10 @@ def hat_matrix(dp: PDistanceMatrix, cert: NegTypeCertificate | None = None) -> n
         raise NotStrict("hat matrix is defined only for strict p-negative type")
     if dp.n == 1:
         return np.zeros((1, 1))
-    inv = spectral.refined_solve(dp.entries, np.eye(dp.n), cert.inverse, cert.inverse)
+    inv = np.linalg.inv(dp.entries)
+    if bad := np.count_nonzero(~np.isfinite(inv)):
+        raise ToleranceFailure(f"D_p^-1 ({dp.n}x{dp.n}) has {bad} non-finite entries, limit 0")
+    inv = spectral.refined_solve(dp.entries, np.eye(dp.n), inv, inv)
     b = cert.b
     hat = np.outer(b, b) / b.sum() - inv
     hat = 0.5 * (hat + hat.T)

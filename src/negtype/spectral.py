@@ -4,9 +4,9 @@ Every other module consumes this contract. The classification tolerance is
 ``zero_tol = 1e-9 * spectral norm``, with no floor, so that it carries the
 unit of the matrix; quantities within it of zero are treated as zero. All
 LAPACK work goes through numpy, so a process loads one BLAS library with one
-thread pool. ``negtype.gap.certify`` solves D_p once for b = D_p^-1 1 and once
-for D_p^-1 (``lu_factor``); ``hat_matrix`` refines that inverse by
-fixed-precision iterative refinement (``refined_solve``), which keeps small
+thread pool. ``negtype.gap.certify`` solves D_p once, for b = D_p^-1 1
+(``lu_factor``); only ``negtype.gap.hat_matrix`` forms D_p^-1, and refines it
+by fixed-precision iterative refinement (``refined_solve``), which keeps small
 matrix entries meaningful even when the entries span many orders of magnitude
 (large exponents p produce p-distance matrices with enormous dynamic range).
 """
@@ -55,35 +55,32 @@ def sym_eigen(a) -> Spectrum:
     return Spectrum(eigenvalues=eigenvalues, eigenvectors=eigenvectors, zero_tol=tol)
 
 
-def lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(a^-1 1, a^-1)`` for a square nonsingular ``a``, by two LAPACK calls.
+def lu_factor(a: np.ndarray) -> np.ndarray:
+    """``a^-1 1`` for a square nonsingular ``a``, from one LAPACK ``gesv``.
 
-    numpy keeps no reusable LU factor, so each result is its own ``gesv``
-    (``getrf`` with partial pivoting, then ``getrs``): one on the all-ones
-    vector and one on the identity. b has a call of its own: taking it from
-    one call on [1 | I] loses strict certificates on badly graded matrices
-    (n = 60 ultrametrics at p = 12 and 16). An exactly zero pivot or a
-    non-finite entry in either result raises ToleranceFailure.
+    The name stays because ``bench/tracer.py`` wraps this binding to count
+    solves per matrix. An exactly zero pivot or a non-finite entry in the
+    result raises ToleranceFailure.
     """
     n = a.shape[0]
     try:
-        b, inverse = np.linalg.solve(a, np.ones(n)), np.linalg.inv(a)
+        b = np.linalg.solve(a, np.ones(n))
     except np.linalg.LinAlgError as exc:
         raise ToleranceFailure(
             f"LU of the {n}x{n} matrix is singular: a pivot of magnitude 0, not above limit 0"
         ) from exc
-    bad = np.count_nonzero(~np.isfinite(b)) + np.count_nonzero(~np.isfinite(inverse))
+    bad = np.count_nonzero(~np.isfinite(b))
     if bad:
         raise ToleranceFailure(
             f"LU solve of the {n}x{n} matrix has {bad} non-finite entries, limit 0"
         )
-    return b, inverse
+    return b
 
 
 def refined_solve(a: np.ndarray, rhs: np.ndarray, x: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     """Fixed-precision iterative refinement of a solution ``x`` of a x = rhs.
 
-    ``inverse`` approximates a^-1 (from ``lu_factor``). Up to three sweeps
+    ``inverse`` approximates a^-1 (``np.linalg.inv``). Up to three sweeps
     add ``inverse @ (rhs - a x)``, stopping at an exactly zero residual; this
     drives the componentwise backward error toward machine precision, which a
     plain solve does not guarantee for badly graded matrices.

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from helpers import example_space, line_space, ultrametric_corpus
@@ -37,8 +40,11 @@ def spanning_tree_calls(monkeypatch):
 
 @pytest.fixture
 def factorization_calls(monkeypatch):
-    """Calls of ``spectral.sym_eigen`` and ``spectral.lu_factor`` during the test."""
-    calls = {"sym_eigen": 0, "lu_factor": 0}
+    """Calls of ``spectral.sym_eigen`` and ``spectral.lu_factor`` during the
+    test, and under ``"inv"`` the calls of ``numpy.linalg.inv`` by matrix size,
+    so that an inverse of D_p (n x n) and the oracle's bordered inverse
+    ((n + 1) x (n + 1)) are told apart."""
+    calls = {"sym_eigen": 0, "lu_factor": 0, "inv": Counter()}
 
     def counting(name):
         real = getattr(spectral, name)
@@ -49,8 +55,15 @@ def factorization_calls(monkeypatch):
 
         return counted
 
-    for name in calls:
+    for name in ("sym_eigen", "lu_factor"):
         monkeypatch.setattr(spectral, name, counting(name))
+    real_inv = np.linalg.inv
+
+    def inv(a):
+        calls["inv"][np.shape(a)[0]] += 1
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
     return calls
 
 

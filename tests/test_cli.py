@@ -28,17 +28,17 @@ def run(capsys, *argv):
 
 class TestAnalyze:
     @pytest.mark.parametrize(
-        "name, p, lu_calls",
+        "name, p, lu_calls, inverses",
         [
-            pytest.param("example_matrix.txt", 1.0, 1, id="example_matrix.txt"),
-            pytest.param("line3.txt", 1.0, 1, id="line3.txt"),
-            pytest.param("single_point.txt", 1.0, 0, id="single_point.txt"),
-            pytest.param("line3.txt", 2.0, 1, id="line3.txt-p2-boundary"),
-            pytest.param("collinear6.txt", 2.0, 0, id="collinear6-p2-singular"),
+            pytest.param("example_matrix.txt", 1.0, 1, {7: 1}, id="example_matrix.txt"),
+            pytest.param("line3.txt", 1.0, 1, {3: 1}, id="line3.txt"),
+            pytest.param("single_point.txt", 1.0, 0, {}, id="single_point.txt"),
+            pytest.param("line3.txt", 2.0, 1, {}, id="line3.txt-p2-boundary"),
+            pytest.param("collinear6.txt", 2.0, 0, {}, id="collinear6-p2-singular"),
         ],
     )
     def test_one_eigendecomposition_feeds_the_spectrum(
-        self, capsys, tmp_path, factorization_calls, name, p, lu_calls
+        self, capsys, tmp_path, factorization_calls, name, p, lu_calls, inverses
     ):
         path = DATA / name
         if name == "collinear6.txt":
@@ -48,7 +48,8 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", path, "--json", "--p", p)
         assert code == 0
         dp = p_distance_matrix(_load_matrix_space(str(path)), p)
-        assert factorization_calls == {"sym_eigen": 1 if dp.n > 1 else 0, "lu_factor": lu_calls}
+        sym_eigen = 1 if dp.n > 1 else 0
+        assert factorization_calls == {"sym_eigen": sym_eigen, "lu_factor": lu_calls, "inv": inverses}
         report = json.loads(out)
         assert report["spectrum"] == [float(v) for v in spectral.sym_eigen(dp.entries).eigenvalues]
         expected = "StrictNegativeType" if p == 1.0 else "NegativeTypeNonStrict"
@@ -241,7 +242,7 @@ class TestUltra:
     def test_bounds_factor_the_matrix_once(self, capsys, factorization_calls):
         code, _, _ = run(capsys, "ultra", "bounds", DATA / "example_graph.txt", "--json")
         assert code == 0
-        assert factorization_calls == {"sym_eigen": 1, "lu_factor": 1}
+        assert factorization_calls == {"sym_eigen": 1, "lu_factor": 1, "inv": {7: 1}}
 
     def test_bounds_json(self, capsys):
         code, out, _ = run(
@@ -436,6 +437,27 @@ def test_text_report_and_json_timing_last(capsys, argv, exit_code, text):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == exit_code
     assert list(json.loads(out))[-1] == "timing_seconds"
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, inverses",
+    [
+        pytest.param(["analyze", "example_matrix.txt", "--cap", "5"], 0, {}, id="analyze-bounds"),
+        pytest.param(["analyze", "line3.txt", "--p", "3"], 2, {}, id="analyze-witness"),
+        pytest.param(["analyze", "example_matrix.txt"], 0, {7: 1}, id="analyze-exact"),
+        pytest.param(["analyze", "example_matrix.txt", "--oracle"], 0, {7: 1, 8: 1},
+                     id="analyze-oracle"),
+        pytest.param(["ultra", "bounds", "example_graph.txt"], 0, {7: 1}, id="ultra-bounds"),
+        pytest.param(["glue", "x5_a.txt", "x5_b.txt", "--c", "5"], 0, {5: 2, 10: 1}, id="glue"),
+    ],
+)
+def test_inverses_are_made_only_for_hat_matrices(capsys, factorization_calls, argv, exit_code,
+                                                 inverses):
+    # one D_p^-1 per hat matrix the command reads, and the oracle's bordered one
+    argv = [DATA / a if a.endswith(".txt") else a for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (exit_code, "")
+    assert factorization_calls["inv"] == inverses
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):

@@ -186,7 +186,7 @@ class TestCertify:
         cert = certify(dp_of(space, p))
         assert cert.classification is Classification.NOT_NEGATIVE_TYPE
         assert abs(cert.lambda_penultimate) <= cert.zero_tol
-        assert cert.b is None and cert.inverse is None
+        assert cert.b is None
 
     @pytest.mark.parametrize(
         "space, p, classification, lu_calls",
@@ -205,7 +205,7 @@ class TestCertify:
         self, factorization_calls, space, p, classification, lu_calls
     ):
         assert certify(dp_of(space, p)).classification.value == classification
-        assert factorization_calls == {"sym_eigen": 1, "lu_factor": lu_calls}
+        assert factorization_calls == {"sym_eigen": 1, "lu_factor": lu_calls, "inv": {}}
 
     def test_single_point(self):
         cert = certify(dp_of(validate_metric(["x"], [[0.0]])))
@@ -243,7 +243,6 @@ class TestCertify:
         dp = dp_of(space, p)
         cert = certify(dp)
         assert cert.classification is Classification.NEGATIVE_TYPE_NON_STRICT
-        assert cert.inverse is None
         spectrum = spectral.sym_eigen(dp.entries)
         null = spectrum.eigenvectors[:, np.abs(spectrum.eigenvalues) < cert.zero_tol]
         assert null.shape[1] > 0
@@ -266,12 +265,12 @@ class TestCertify:
         real = spectral.lu_factor
 
         def perturbed(a):
-            b, inverse = real(a)
-            return b * (1 + 1e-4 * np.arange(len(b))), inverse
+            b = real(a)
+            return b * (1 + 1e-4 * np.arange(len(b)))
 
         monkeypatch.setattr(spectral, "lu_factor", perturbed)
         dp = dp_of(example78)
-        b, _ = perturbed(dp.entries)
+        b = perturbed(dp.entries)
         m_p = 1.0 / b.sum()
         residual = np.abs(dp.entries @ (b / b.sum()) - m_p).max()
         with pytest.raises(ToleranceFailure) as info:
@@ -284,9 +283,7 @@ class TestCertify:
         # Every case it certifies keeps its class and M_p, and every failure
         # is a NegTypeError (an exception of any other type fails the test).
         def reference(a):
-            lu = lu_factor(a)
-            n = a.shape[0]
-            return reference_refined_solve(a, np.ones(n), lu), reference_refined_solve(a, np.eye(n), lu)
+            return reference_refined_solve(a, np.ones(a.shape[0]), lu_factor(a))
 
         rng = np.random.default_rng(11)
         spaces = [random_ultrametric(rng, n, lo=1.0, hi=hi)
@@ -400,17 +397,24 @@ class TestHatMatrix:
         with pytest.raises(NotStrict):
             hat_matrix(dp_of(line3, 2.0))
 
-    def test_reuses_the_certificate_factor(self, example78, monkeypatch):
+    def test_reuses_the_certificate_factor(self, example78, factorization_calls):
+        # b comes from the certificate: hat_matrix makes the one inverse and
+        # neither solves for b again nor decomposes D_p
         dp = dp_of(example78)
         cert = certify(dp)
-        assert cert.inverse is not None
-        expected = hat_matrix(dp, cert)
+        assert factorization_calls == {"sym_eigen": 1, "lu_factor": 1, "inv": {}}
+        hat_matrix(dp, cert)
+        assert factorization_calls == {"sym_eigen": 1, "lu_factor": 1, "inv": {7: 1}}
 
-        def disabled(*args, **kwargs):
-            raise AssertionError("hat_matrix must not factor D_p again")
-
-        monkeypatch.setattr(spectral, "lu_factor", disabled)
-        assert np.array_equal(hat_matrix(dp, cert), expected)
+    def test_non_finite_inverse_is_a_tolerance_failure(self):
+        # b is finite, but D_p^-1 holds +-1 / 1e-309, which overflows
+        eps = 1e-309
+        dp = dp_of(validate_metric(["a", "b", "c"], [[0, eps, 1], [eps, 0, 1], [1, 1, 0]]))
+        cert = certify(dp)
+        assert cert.strict and np.isfinite(cert.b).all()
+        message = r"^D_p\^-1 \(3x3\) has 6 non-finite entries, limit 0$"
+        with pytest.raises(ToleranceFailure, match=message):
+            hat_matrix(dp, cert)
 
     def test_bitwise_equal_to_refined_explicit_inverse(self, example78):
         # Reference: LU inverse of D_p refined by up to three residual sweeps.

@@ -215,9 +215,17 @@ class TestGluedInverse:
             glued_inverse(dp_of(left, 2.0), dp_of(right, 2.0), 1.0, 1.0)
 
 
-@pytest.mark.parametrize("call", ["glued_inverse", "glued_hat_form", "mp_ultrametric_properties"])
-def test_every_factor_belongs_to_a_certificate(call, example78, factorization_calls):
-    # D_p is factored only by ``certify``, which runs one eigh per LU factor
+@pytest.mark.parametrize(
+    "call, inverses",
+    [
+        pytest.param("glued_inverse", {3: 1, 7: 1}, id="glued_inverse"),
+        pytest.param("glued_hat_form", {3: 1, 7: 1, 10: 1}, id="glued_hat_form"),
+        pytest.param("mp_ultrametric_properties", {}, id="mp_ultrametric_properties"),
+    ],
+)
+def test_every_factor_belongs_to_a_certificate(call, inverses, example78, factorization_calls):
+    # D_p is factored only by ``certify``, which runs one eigh per LU solve,
+    # and inverted only by ``hat_matrix``, once per hat matrix the call reads
     left = relabel(discrete_space(3), "L")
     spec = GlueSpec(left=left, right=example78, c=20.0)
     if call == "glued_inverse":
@@ -228,6 +236,7 @@ def test_every_factor_belongs_to_a_certificate(call, example78, factorization_ca
         mp_ultrametric_properties(example78, 1.0)
     assert factorization_calls["lu_factor"] > 0
     assert factorization_calls["lu_factor"] == factorization_calls["sym_eigen"]
+    assert factorization_calls["inv"] == inverses
 
 
 class TestGluedHatForm:

@@ -103,8 +103,8 @@ def test_eigenpair_residuals():
 
 
 def solve(a, rhs):
-    """Refined solution of a x = rhs, starting from the held inverse times rhs."""
-    _, inverse = lu_factor(a)
+    """Refined solution of a x = rhs, starting from the inverse times rhs."""
+    inverse = np.linalg.inv(a)
     return refined_solve(a, rhs, inverse @ rhs, inverse)
 
 
@@ -138,12 +138,12 @@ class TestSolve:
             err = np.linalg.norm(a @ solution - rhs)
             assert err <= 1e-9 * max(1.0, np.linalg.norm(rhs))
 
-    def test_lu_factor_solves_one_and_inverts(self):
+    def test_lu_factor_solves_for_the_ones_vector(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((8, 8)) + 8.0 * np.eye(8)
-        b, inverse = lu_factor(a)
+        b = lu_factor(a)
+        assert b.shape == (8,)
         assert np.abs(a @ b - 1.0).max() <= 1e-13
-        assert np.abs(a @ inverse - np.eye(8)).max() <= 1e-13
 
     def test_exactly_singular_is_a_tolerance_failure(self):
         a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]])
@@ -152,6 +152,6 @@ class TestSolve:
             lu_factor(a)
 
     def test_non_finite_solution_is_a_tolerance_failure(self):
-        # the pivots are nonzero, but 1 / 1e-310 overflows: inf in b, inf and nan in the inverse
-        with pytest.raises(ToleranceFailure, match=r"has 3 non-finite entries, limit 0"):
+        # the pivots are nonzero, but 1 / 1e-310 overflows: inf in b
+        with pytest.raises(ToleranceFailure, match=r"has 1 non-finite entries, limit 0"):
             lu_factor(np.diag([1e-310, 1.0]))
