@@ -133,40 +133,27 @@ class XiResult:
     diameter: float
     ratio: float
     n: int
-    exponent_mode: str
 
 
-def xi_enlargement(
-    space: FiniteMetricSpace,
-    p: float,
-    gamma: float,
-    exponent_mode: str = "product",
-) -> XiResult:
+def xi_enlargement(space: FiniteMetricSpace, p: float, gamma: float) -> XiResult:
     """Exponent-enlargement length from the gap, the diameter, and the ratio.
 
-    ``exponent_mode`` selects how the diameter term in the logarithm's
-    argument is read: "product" uses diameter**p * gamma_xi(n) and "power"
-    uses diameter**(p * gamma_xi(n)); the two readings coincide only in
-    special cases, and "product" is the default. A distance ratio of one
-    (all distances equal) makes the interval unbounded. A zero gap gives a
-    zero-length interval; negative gaps are rejected.
+    xi = log(1 + gamma / (diameter**p * gamma_xi(n))) / log(ratio). The gap
+    and diameter**p share the unit d^p, so xi does not depend on the unit of
+    distance. A distance ratio of one (all distances equal) makes the
+    interval unbounded. A zero gap gives a zero-length interval; negative
+    gaps are rejected.
     """
     if space.n < 3:
         raise TooFewPoints("the enlargement formula needs at least three points")
     if gamma < 0:
         raise ZeroGap(f"gap must be nonnegative, got {gamma}")
-    if exponent_mode not in ("product", "power"):
-        raise ValueError(f"unknown exponent mode {exponent_mode!r}")
     stats = space_stats(space)
     g_xi = gamma_xi(space.n)
     if stats.ratio == 1.0:
         xi = inf
     else:
-        if exponent_mode == "product":
-            denom = stats.diameter**p * g_xi
-        else:
-            denom = stats.diameter ** (p * g_xi)
-        xi = log(1.0 + gamma / denom) / log(stats.ratio)
+        xi = log(1.0 + gamma / (stats.diameter**p * g_xi)) / log(stats.ratio)
     return XiResult(
         xi=xi,
         gamma_xi_n=g_xi,
@@ -174,7 +161,6 @@ def xi_enlargement(
         diameter=stats.diameter,
         ratio=stats.ratio,
         n=space.n,
-        exponent_mode=exponent_mode,
     )
 
 

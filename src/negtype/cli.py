@@ -22,6 +22,7 @@ from . import ultrametric as ultra_mod
 from .errors import NegTypeError, ToleranceFailure
 from .metric import (
     FiniteMetricSpace,
+    _check_exponent,
     _content_lines,
     is_ultrametric,
     p_distance_matrix,
@@ -138,12 +139,8 @@ def cmd_analyze(args) -> tuple[dict, int]:
         report["gap"] = gap_report
 
     if gamma_for_xi is not None and space.n >= 3 and not isinf(gamma_for_xi):
-        xi = bounds_mod.xi_enlargement(space, args.p, gamma_for_xi, args.xi_exponent)
-        report["xi"] = {
-            "xi": xi.xi,
-            "gamma_xi_n": xi.gamma_xi_n,
-            "exponent_mode": xi.exponent_mode,
-        }
+        xi = bounds_mod.xi_enlargement(space, args.p, gamma_for_xi)
+        report["xi"] = {"xi": xi.xi, "gamma_xi_n": xi.gamma_xi_n}
     else:
         report["xi"] = None
     return report, exit_code
@@ -205,11 +202,7 @@ def _render_analyze(report: dict, out) -> None:
         )
     xi = report.get("xi")
     if xi is not None:
-        print(
-            f"exponent enlargement xi = {_fmt(xi['xi'])}"
-            f"  (mode {xi['exponent_mode']})",
-            file=out,
-        )
+        print(f"exponent enlargement xi = {_fmt(xi['xi'])}", file=out)
 
 
 def cmd_glue(args) -> tuple[dict, int]:
@@ -232,7 +225,11 @@ def cmd_glue(args) -> tuple[dict, int]:
     }
 
     exit_code = EXIT_OK
-    if condition.classification is glue_mod.GlueClassification.STRICT:
+    strict = condition.classification is glue_mod.GlueClassification.STRICT
+    largest = max(left.n, right.n)
+    if strict and largest > args.cap:
+        report["note"] = f"a component of {largest} points exceeds the enumeration cap {args.cap}"
+    elif strict:
         gamma_left = gap_mod.gap_exact(p_distance_matrix(left, args.p), cap=args.cap).gamma
         gamma_right = gap_mod.gap_exact(p_distance_matrix(right, args.p), cap=args.cap).gamma
         gap_bounds = glue_mod.glue_gap_bounds(spec, args.p, gamma_left, gamma_right)
@@ -268,6 +265,8 @@ def _render_glue(report: dict, out) -> None:
         f"M_p: left {_fmt(report['m_p_left'])}  right {_fmt(report['m_p_right'])}",
         file=out,
     )
+    if "note" in report:
+        print(f"gap bounds: not computed ({report['note']})", file=out)
     if "bounds" in report:
         b = report["bounds"]
         note = "  [outside the two-point hypothesis]" if b["out_of_hypothesis"] else ""
@@ -281,6 +280,7 @@ def _render_glue(report: dict, out) -> None:
 
 
 def cmd_ultra(args) -> tuple[dict, int]:
+    _check_exponent(args.p)  # before the file is read; every report echoes p
     space = _load_ultra_space(args.file)
     if not is_ultrametric(space):
         raise NegTypeError("input space is not ultrametric")
@@ -411,8 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--seed", type=int, default=0, help="seed for the numeric oracle")
     analyze.add_argument("--oracle", action="store_true",
                          help="cross-check the exact gap with the numeric oracle")
-    analyze.add_argument("--xi-exponent", choices=("product", "power"), default="product",
-                         help="reading of the diameter term in the enlargement formula")
 
     glue = sub.add_parser("glue", help="analyze the bridged union of two matrix files")
     glue.add_argument("file1")

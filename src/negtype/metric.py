@@ -174,10 +174,15 @@ def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
     return space
 
 
-def p_distance_matrix(space: FiniteMetricSpace, p: float) -> PDistanceMatrix:
-    """Entrywise p-th power of the distance matrix (p > 0)."""
+def _check_exponent(p: float) -> None:
+    """Reject an exponent that is not > 0 (NaN included)."""
     if not p > 0:
         raise NonpositiveExponent(f"exponent must be positive, got {p}")
+
+
+def p_distance_matrix(space: FiniteMetricSpace, p: float) -> PDistanceMatrix:
+    """Entrywise p-th power of the distance matrix (p > 0)."""
+    _check_exponent(p)
     with np.errstate(over="ignore"):
         entries = space.dist**p
     if not np.isfinite(entries).all():

@@ -18,7 +18,14 @@ import numpy as np
 from . import gap as gap_mod
 from .bounds import gamma_discrete
 from .errors import NegativeEntry, NotSymmetric, NotUltrametric, SinglePoint
-from .metric import Ball, FiniteMetricSpace, _ball_tree, _spanning_tree, p_distance_matrix
+from .metric import (
+    Ball,
+    FiniteMetricSpace,
+    _ball_tree,
+    _check_exponent,
+    _spanning_tree,
+    p_distance_matrix,
+)
 from .spectral import refined_solve  # noqa: F401 (unused; bench/test_bench.py pins this tracer binding)
 
 
@@ -202,17 +209,32 @@ def recursive_gap_bounds(
 
     Leaf blocks contribute their exact reciprocal gap to both sides
     (singletons contribute zero). Each split adds, to the upper reciprocal
-    only, the cap size/diameter**p of its correction term; the sharper exact
-    term and its denominator are reported per level.
+    only, the cap size/diameter**p of its correction term. The exact term
+    2 / denominator is reported per split, where the denominator is the glue
+    margin 2 c^p - M_p(left) - M_p(right) at the split distance c. The
+    children's M_p come bottom-up from the tree, with no matrix: a point has
+    0, a leaf block of k points at distance d has (k - 1) / k d^p, and a
+    split has c^p - (c^p - M_L) (c^p - M_R) / margin, which is
+    (c^2p - M_L M_R) / margin (see ``negtype.glue.glued_inverse``).
     """
+    _check_exponent(p)
     if space.n < 2:
         raise SinglePoint("gap bounds need at least two points")
     tree = decompose(space, full_split=full_split)
+    nodes = list(tree.walk())
+    m_p = {}  # by id(node); children come after their parent in pre-order
+    for node in reversed(nodes):
+        if node.is_leaf:
+            m_p[id(node)] = (node.size - 1) / node.size * node.split_distance**p
+        else:
+            c_p = node.split_distance**p
+            m_l, m_r = (m_p[id(child)] for child in node.children)
+            m_p[id(node)] = c_p - (c_p - m_l) * (c_p - m_r) / (2.0 * c_p - m_l - m_r)
     splits: list[SplitTerm] = []
     leaves: list[LeafTerm] = []
     lower = 0.0
     alpha_sum = 0.0
-    for node in tree.walk():
+    for node in nodes:
         if node.is_leaf:
             if node.size == 1:
                 leaves.append(LeafTerm(node.labels, 1, 0.0, np.inf, 0.0))
@@ -225,10 +247,7 @@ def recursive_gap_bounds(
             continue
         left, right = node.children
         delta_p = node.split_distance**p
-        denominator = 2.0 * delta_p
-        for child in (left, right):
-            if child.size > 1:
-                denominator -= (child.size - 1) / child.size * child.split_distance**p
+        denominator = 2.0 * delta_p - m_p[id(left)] - m_p[id(right)]
         alpha_exact = 2.0 / denominator
         alpha_cap = node.size / delta_p
         alpha_sum += alpha_cap

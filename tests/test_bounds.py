@@ -164,11 +164,16 @@ class TestXi:
         assert result.gamma_xi_n == pytest.approx(0.25, abs=1e-15)
         assert 0.0 < result.xi < inf
 
-    def test_exponent_modes_differ(self, example78):
-        gamma = gap_exact(dp_of(example78, 2.0)).gamma
-        product = xi_enlargement(example78, 2.0, gamma, "product")
-        power = xi_enlargement(example78, 2.0, gamma, "power")
-        assert product.xi != power.xi
+    def test_independent_of_the_unit_of_distance(self, example78, line3):
+        # line3 is strict exactly for exponents below 2, so at p = 1 xi is 1
+        for space, p in [(line3, 1.0), (example78, 1.0), (example78, 2.0)]:
+            unit = xi_enlargement(space, p, gap_exact(dp_of(space, p)).gamma).xi
+            if space is line3:
+                assert unit == pytest.approx(1.0, rel=1e-12)
+            for k in range(-6, 7):
+                scaled = scale_space(space, 10.0**k)
+                xi = xi_enlargement(scaled, p, gap_exact(dp_of(scaled, p)).gamma).xi
+                assert xi == pytest.approx(unit, rel=1e-12, abs=0.0), (space.n, p, k)
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):

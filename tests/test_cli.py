@@ -117,16 +117,6 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["gap"]["oracle_gamma"] == pytest.approx(0.5, abs=1e-4)
 
-    def test_xi_exponent_modes(self, capsys):
-        _, out_product, _ = run(capsys, "analyze", DATA / "example_matrix.txt", "--p", "2", "--json")
-        _, out_power, _ = run(
-            capsys, "analyze", DATA / "example_matrix.txt", "--p", "2", "--json",
-            "--xi-exponent", "power",
-        )
-        xi_product = json.loads(out_product)["xi"]["xi"]
-        xi_power = json.loads(out_power)["xi"]["xi"]
-        assert xi_product != xi_power
-
     def test_negative_seed_is_rejected_before_loading(self, capsys, tmp_path):
         # the file does not exist: the seed is checked first
         code, out, err = run(capsys, "analyze", tmp_path / "missing.txt", "--oracle", "--seed", "-1")
@@ -210,6 +200,28 @@ class TestGlue:
         code, _, _ = run(capsys, "glue", DATA / "x5_a.txt", DATA / "x5_b.txt", "--c", "5")
         assert code == 0
         assert spanning_tree_calls == [5, 5, 10]  # the two components and the glued space
+
+    def test_component_above_the_cap_gets_a_note_not_bounds(self, capsys):
+        argv = ["glue", DATA / "x5_a.txt", DATA / "x5_b.txt", "--c", "5", "--json", "--cap"]
+        code, out, err = run(capsys, *argv, "4")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["note"] == "a component of 5 points exceeds the enumeration cap 4"
+        assert report["classification"] == "Strict"
+        assert report["margin"] == pytest.approx(8.4, rel=1e-12)
+        assert report["m_p_left"] == report["m_p_right"] == pytest.approx(0.8, rel=1e-12)
+        for name in ("bounds", "gamma_left", "gamma_right", "glued_gamma_exact"):
+            assert name not in report
+        # at the component size the components get their exact gaps again;
+        # only the 10-point glued space stays above the cap
+        code, out, err = run(capsys, *argv, "5")
+        at_cap = json.loads(out)
+        code, out, err = run(capsys, *argv, "24")
+        default = json.loads(out)
+        for r in (at_cap, default):
+            r.pop("timing_seconds")
+        assert at_cap["bounds"]["lower"] <= default.pop("glued_gamma_exact") <= at_cap["bounds"]["upper"]
+        assert (code, err, at_cap) == (0, "", default)
 
     def test_not_negative_type_glue_exits_two(self, capsys):
         code, out, _ = run(
@@ -303,6 +315,15 @@ class TestUltra:
         assert space.labels == labels
         assert np.array_equal(space.dist, dist)
 
+    @pytest.mark.parametrize("subcommand", ["decompose", "bounds", "coteries", "asymptotic"])
+    @pytest.mark.parametrize("p", ["nan", "0", "-1"])
+    def test_nonpositive_exponent_exits_one(self, capsys, tmp_path, subcommand, p):
+        # the missing file is never opened: the exponent is checked first
+        for path in (DATA / "example_graph.txt", tmp_path / "missing.txt"):
+            code, out, err = run(capsys, "ultra", subcommand, path, f"--p={p}", "--json")
+            assert (code, out) == (1, "")
+            assert err == f"error: exponent must be positive, got {float(p)}\n"
+
     def test_comment_only_file_is_an_empty_edge_list(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing\n\n   # here\n")
@@ -341,7 +362,7 @@ TEXT_REPORTS = [
 gap (exact, SignEnumeration): gamma = 0.387045813586  beta = 5.16734693878
 maximizing signs: + - - + - + -
 oracle cross-check: 0.387045813586 (200 restarts)
-exponent enlargement xi = 0.0923651057655  (mode product)
+exponent enlargement xi = 0.0923651057655
 """,
         id="analyze-exact",
     ),
@@ -405,8 +426,8 @@ decomposition: (split=4 (split=3 (split=2 [a b @ 2] [c d @ 1]) [e f @ 1]) [g @ 0
   block {a b} at 2: gamma = 2, reciprocal 0.5
   block {c d} at 1: gamma = 1, reciprocal 1
   block {e f} at 1: gamma = 1, reciprocal 1
-  split at 4 (7 points): correction 1.75 (exact 0.363636363636)
-  split at 3 (6 points): correction 2 (exact 0.5)
+  split at 4 (7 points): correction 1.75 (exact 0.334693877551)
+  split at 3 (6 points): correction 2 (exact 0.487804878049)
   split at 2 (4 points): correction 2 (exact 0.8)
 reciprocal gap in [2.5, 8.25]
 gamma in [0.121212121212, 0.4]

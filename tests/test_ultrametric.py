@@ -35,7 +35,7 @@ from negtype import (
     validate_metric,
 )
 from negtype import gap
-from negtype.errors import NegativeEntry, NotSymmetric, NotUltrametric
+from negtype.errors import NegativeEntry, NonpositiveExponent, NotSymmetric, NotUltrametric
 from negtype.metric import _ball_tree, _spanning_tree
 
 
@@ -280,6 +280,34 @@ class TestRecursiveBounds:
                 rec = recursive_gap_bounds(space, p)
                 gamma = gap_exact(dp_of(space, p)).gamma
                 assert rec.gamma_lower - 1e-9 <= gamma <= rec.gamma_upper + 1e-9
+
+    @pytest.mark.parametrize("full_split", [False, True])
+    def test_denominator_is_the_margin_of_the_certified_children(self, corpus, full_split):
+        # each child's M_p from certify on the child alone, not from the tree
+        def child_m_p(child, space, p):
+            index = list(child.indices)
+            return certify(dp_of(validate_metric(child.labels, space.dist[np.ix_(index, index)]), p)).m_p
+
+        checked = 0
+        for space in corpus:
+            nodes = [node for node in decompose(space, full_split).walk() if not node.is_leaf]
+            for p in (0.5, 1.0, 2.0):
+                rec = recursive_gap_bounds(space, p, full_split)
+                assert [term.labels for term in rec.splits] == [node.labels for node in nodes]
+                for term, node in zip(rec.splits, nodes):
+                    margin = 2.0 * node.split_distance**p - sum(
+                        child_m_p(child, space, p) for child in node.children
+                    )
+                    assert term.denominator == pytest.approx(margin, rel=1e-12, abs=0.0)
+                    assert term.alpha_exact == 2.0 / term.denominator
+                    assert term.alpha_exact <= term.alpha_cap
+                    checked += 1
+        assert checked > 250
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, float("nan")])
+    def test_rejects_a_nonpositive_exponent(self, example78, p):
+        with pytest.raises(NonpositiveExponent, match=f"^exponent must be positive, got {p}$"):
+            recursive_gap_bounds(example78, p)
 
     def test_alpha_cap_bound_per_node(self, corpus):
         for space in corpus[:40]:
