@@ -465,10 +465,8 @@ def test_text_report_and_json_timing_last(capsys, argv, exit_code, text):
     [
         pytest.param(["analyze", "example_matrix.txt", "--cap", "5"], 0, {}, id="analyze-bounds"),
         pytest.param(["analyze", "line3.txt", "--p", "3"], 2, {}, id="analyze-witness"),
-        pytest.param(["analyze", "example_matrix.txt"], 0, {7: 1}, id="analyze-exact"),
         pytest.param(["analyze", "example_matrix.txt", "--oracle"], 0, {7: 1, 8: 1},
                      id="analyze-oracle"),
-        pytest.param(["ultra", "bounds", "example_graph.txt"], 0, {7: 1}, id="ultra-bounds"),
         pytest.param(["glue", "x5_a.txt", "x5_b.txt", "--c", "5"], 0, {5: 2, 10: 1}, id="glue"),
     ],
 )
