@@ -180,15 +180,21 @@ def _check_exponent(p: float) -> None:
         raise NonpositiveExponent(f"exponent must be positive, got {p}")
 
 
+def _check_powers(distances, powers, p: float) -> None:
+    """Reject powers of distances that left the float range: one that
+    overflowed, or a positive distance whose power underflowed to zero."""
+    if not np.isfinite(powers).all():
+        raise ValueError(f"distance powers overflow at exponent {p}")
+    if (np.asarray(powers)[np.asarray(distances) > 0.0] == 0.0).any():
+        raise ValueError(f"distance powers underflow to zero at exponent {p}")
+
+
 def p_distance_matrix(space: FiniteMetricSpace, p: float) -> PDistanceMatrix:
     """Entrywise p-th power of the distance matrix (p > 0)."""
     _check_exponent(p)
     with np.errstate(over="ignore"):
         entries = space.dist**p
-    if not np.isfinite(entries).all():
-        raise ValueError(f"distance powers overflow at exponent {p}")
-    if space.n > 1 and (entries[~np.eye(space.n, dtype=bool)] == 0.0).any():
-        raise ValueError(f"distance powers underflow to zero at exponent {p}")
+    _check_powers(space.dist, entries, p)
     return PDistanceMatrix(p=float(p), entries=_freeze(entries), source=space)
 
 

@@ -23,6 +23,7 @@ from .metric import (
     FiniteMetricSpace,
     _ball_tree,
     _check_exponent,
+    _check_powers,
     _spanning_tree,
     p_distance_matrix,
 )
@@ -215,21 +216,34 @@ def recursive_gap_bounds(
     children's M_p come bottom-up from the tree, with no matrix: a point has
     0, a leaf block of k points at distance d has (k - 1) / k d^p, and a
     split has c^p - (c^p - M_L) (c^p - M_R) / margin, which is
-    (c^2p - M_L M_R) / margin (see ``negtype.glue.glued_inverse``).
+    (c^2p - M_L M_R) / margin (see ``negtype.glue.glued_inverse``). Since
+    (c^p - M_R) / margin lies in (0, 1], no step leaves the range of c^p.
+
+    Raises ValueError, as ``p_distance_matrix`` does, when a power of a
+    distance overflows or underflows to zero, or when a margin, which is at
+    most 2 c^p, would overflow; and when the upper reciprocal bound, the
+    largest reciprocal reported, overflows (powers near the smallest float).
     """
     _check_exponent(p)
     if space.n < 2:
         raise SinglePoint("gap bounds need at least two points")
     tree = decompose(space, full_split=full_split)
     nodes = list(tree.walk())
+    distances = [node.split_distance for node in nodes]
+    powers = [_power(distance, p) for distance in distances]
+    with np.errstate(over="ignore"):
+        _check_powers(distances, 2.0 * np.array(powers), p)
+    power = {id(node): c_p for node, c_p in zip(nodes, powers)}
     m_p = {}  # by id(node); children come after their parent in pre-order
+    margin = {}
     for node in reversed(nodes):
+        c_p = power[id(node)]
         if node.is_leaf:
-            m_p[id(node)] = (node.size - 1) / node.size * node.split_distance**p
+            m_p[id(node)] = (node.size - 1) / node.size * c_p
         else:
-            c_p = node.split_distance**p
             m_l, m_r = (m_p[id(child)] for child in node.children)
-            m_p[id(node)] = c_p - (c_p - m_l) * (c_p - m_r) / (2.0 * c_p - m_l - m_r)
+            margin[id(node)] = 2.0 * c_p - m_l - m_r
+            m_p[id(node)] = c_p - (c_p - m_l) * ((c_p - m_r) / margin[id(node)])
     splits: list[SplitTerm] = []
     leaves: list[LeafTerm] = []
     lower = 0.0
@@ -239,15 +253,15 @@ def recursive_gap_bounds(
             if node.size == 1:
                 leaves.append(LeafTerm(node.labels, 1, 0.0, np.inf, 0.0))
             else:
-                gamma = node.split_distance**p * gamma_discrete(node.size)
+                gamma = power[id(node)] * gamma_discrete(node.size)
                 leaves.append(
                     LeafTerm(node.labels, node.size, node.split_distance, gamma, 1.0 / gamma)
                 )
                 lower += 1.0 / gamma
             continue
         left, right = node.children
-        delta_p = node.split_distance**p
-        denominator = 2.0 * delta_p - m_p[id(left)] - m_p[id(right)]
+        delta_p = power[id(node)]
+        denominator = margin[id(node)]
         alpha_exact = 2.0 / denominator
         alpha_cap = node.size / delta_p
         alpha_sum += alpha_cap
@@ -263,12 +277,22 @@ def recursive_gap_bounds(
                 child_diameters=(left.split_distance, right.split_distance),
             )
         )
+    if lower + alpha_sum == np.inf:  # every reciprocal term is at most this sum
+        raise ValueError(f"reciprocal gap bounds overflow at exponent {p}")
     return RecursiveGapBounds(
         lower_reciprocal=lower,
         upper_reciprocal=lower + alpha_sum,
         splits=tuple(splits),
         leaves=tuple(leaves),
     )
+
+
+def _power(distance: float, p: float) -> float:
+    """distance**p in Python floats, with inf where it overflows."""
+    try:
+        return distance**p
+    except OverflowError:
+        return np.inf
 
 
 @dataclass(frozen=True)

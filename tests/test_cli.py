@@ -324,6 +324,12 @@ class TestUltra:
             assert (code, out) == (1, "")
             assert err == f"error: exponent must be positive, got {float(p)}\n"
 
+    def test_overflowing_exponent_exits_one(self, capsys):
+        # the recursive bounds raised OverflowError here, a traceback
+        code, out, err = run(capsys, "ultra", "bounds", DATA / "example_matrix.txt", "--p", "1000")
+        assert (code, out) == (1, "")
+        assert err == "error: distance powers overflow at exponent 1000.0\n"
+
     def test_comment_only_file_is_an_empty_edge_list(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing\n\n   # here\n")

@@ -282,14 +282,16 @@ class TestRecursiveBounds:
                 assert rec.gamma_lower - 1e-9 <= gamma <= rec.gamma_upper + 1e-9
 
     @pytest.mark.parametrize("full_split", [False, True])
-    def test_denominator_is_the_margin_of_the_certified_children(self, corpus, full_split):
-        # each child's M_p from certify on the child alone, not from the tree
+    @pytest.mark.parametrize("scale", [1.0, 1e100])
+    def test_denominator_is_the_margin_of_the_certified_children(self, corpus, scale, full_split):
+        # each child's M_p from certify on the child alone, not from the tree;
+        # at scale 1e100 and p = 2, c^p is near 1e200 and (c^p)^2 overflows
         def child_m_p(child, space, p):
             index = list(child.indices)
             return certify(dp_of(validate_metric(child.labels, space.dist[np.ix_(index, index)]), p)).m_p
 
         checked = 0
-        for space in corpus:
+        for space in (scale_space(space, scale) for space in corpus):
             nodes = [node for node in decompose(space, full_split).walk() if not node.is_leaf]
             for p in (0.5, 1.0, 2.0):
                 rec = recursive_gap_bounds(space, p, full_split)
@@ -298,6 +300,7 @@ class TestRecursiveBounds:
                     margin = 2.0 * node.split_distance**p - sum(
                         child_m_p(child, space, p) for child in node.children
                     )
+                    assert np.isfinite(term.denominator)
                     assert term.denominator == pytest.approx(margin, rel=1e-12, abs=0.0)
                     assert term.alpha_exact == 2.0 / term.denominator
                     assert term.alpha_exact <= term.alpha_cap
@@ -308,6 +311,25 @@ class TestRecursiveBounds:
     def test_rejects_a_nonpositive_exponent(self, example78, p):
         with pytest.raises(NonpositiveExponent, match=f"^exponent must be positive, got {p}$"):
             recursive_gap_bounds(example78, p)
+
+    def test_powers_out_of_the_float_range_are_errors(self):
+        def space(small, large):
+            return validate_metric(
+                ["a", "b", "c"],
+                np.array([[0.0, small, large], [small, 0.0, large], [large, large, 0.0]]),
+            )
+
+        # 1e154**2 is finite, but the margin, near 2e308, is not
+        cases = [
+            (space(1.0, 1e10), 400.0, "distance powers overflow at exponent 400.0"),
+            (space(1.0, 1e154), 2.0, "distance powers overflow at exponent 2.0"),
+            (space(1e-10, 1.0), 33.0, "distance powers underflow to zero at exponent 33.0"),
+            (space(1e-10, 1.0), 31.0, "reciprocal gap bounds overflow at exponent 31.0"),
+        ]
+        for metric_space, p, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                recursive_gap_bounds(metric_space, p)
+        assert np.isfinite(recursive_gap_bounds(space(1.0, 1e154), 1.99).splits[0].denominator)
 
     def test_alpha_cap_bound_per_node(self, corpus):
         for space in corpus[:40]:
