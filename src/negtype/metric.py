@@ -5,10 +5,10 @@ diameter so that exact (integer-valued) inputs never produce false rejections
 while file-parsed decimals survive round-off.
 
 Ultrametric structure comes from one O(n^2) minimum spanning tree pass,
-``_spanning_tree``, and its single linkage, ``_ball_tree``; the
-strong-triangle test, the graph minimax distances, the decomposition and the
-coteries all read from them. Each space runs that pass at most once and
-caches the result.
+``_spanning_tree``: the strong-triangle test and the graph minimax distances
+read its subdominant ultrametric, and the decomposition and the coteries in
+``negtype.ultrametric`` read its edges. Each space runs that pass at most
+once and caches the result.
 
 Validation costs O(n^2) when d is within ``METRIC_RTOL * diameter`` of its
 subdominant ultrametric, and O(n^3) otherwise. The subdominant only copies
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -224,15 +224,6 @@ def is_ultrametric(space: FiniteMetricSpace) -> bool:
     return excess <= limit
 
 
-class Ball(NamedTuple):
-    """Points joined at ``height``; children are the maximal balls strictly
-    below it, in order (balls compare by their sorted, disjoint members)."""
-
-    members: tuple[int, ...]
-    height: float
-    children: tuple["Ball", ...]
-
-
 def _spanning_tree(w: np.ndarray) -> tuple[list[tuple[float, int, int]], np.ndarray]:
     """Minimum spanning tree and subdominant (minimax) ultrametric of weights.
 
@@ -265,25 +256,6 @@ def _spanning_tree(w: np.ndarray) -> tuple[list[tuple[float, int, int]], np.ndar
         np.minimum(key, todo[v], out=key)
     np.fill_diagonal(sub, 0.0)
     return edges, sub
-
-
-def _ball_tree(n: int, edges: list[tuple[float, int, int]]) -> Ball:
-    """Single-linkage ball tree of the points 0..n-1 joined by spanning tree edges.
-
-    Edges merge in ascending order; a merge at the height of a component's
-    ball takes over its children instead of nesting it, so merges at exactly
-    equal heights form one node.
-    """
-    up = list(range(n))
-    top = [Ball((i,), 0.0, ()) for i in range(n)]  # the ball of each root
-    for h, p, v in sorted(edges):
-        a, b = _find(up, p), _find(up, v)
-        parts: tuple[Ball, ...] = ()
-        for ball in (top[a], top[b]):
-            parts += ball.children if ball.children and ball.height == h else (ball,)
-        up[a] = b
-        top[b] = Ball(tuple(sorted(top[a].members + top[b].members)), h, tuple(sorted(parts)))
-    return top[_find(up, 0)]
 
 
 def space_stats(space: FiniteMetricSpace) -> SpaceStats:
@@ -324,14 +296,6 @@ def build_graph(
     if not order:
         raise ValueError("graph has no vertices")
     return WeightedGraph(tuple(order), tuple(edge_list))
-
-
-def _find(up: list[int], a: int) -> int:
-    """Root of ``a`` in the union-find forest ``up``, halving the path."""
-    while up[a] != a:
-        up[a] = up[up[a]]
-        a = up[a]
-    return a
 
 
 def ultrametric_from_graph(graph: WeightedGraph) -> FiniteMetricSpace:

@@ -4,14 +4,17 @@ An ultrametric space of diameter D splits into two nonempty parts with all
 cross-distances equal to D; recursing yields a tree whose leaf blocks have
 an exact closed-form gap. Walking the tree accumulates two-sided bounds on
 the reciprocal gap, and the minimum-distance clusters (coteries) determine
-the large-exponent limit of the normalized gap. The decomposition, the
-coteries and the strictly-ultrametric matrix test all read the one minimum
-spanning tree and ball tree built by ``negtype.metric``.
+the large-exponent limit of the normalized gap. ``decompose`` builds the
+only ultrametric tree, straight from the edges of the one minimum spanning
+tree pass of ``negtype.metric``; the coteries read those edges with no tree,
+and the strictly-ultrametric matrix test runs that pass on its own matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -19,9 +22,7 @@ from . import gap as gap_mod
 from .bounds import gamma_discrete
 from .errors import NegativeEntry, NotSymmetric, NotUltrametric, SinglePoint
 from .metric import (
-    Ball,
     FiniteMetricSpace,
-    _ball_tree,
     _check_exponent,
     _check_powers,
     _spanning_tree,
@@ -120,48 +121,76 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _ultrametric_tree(space: FiniteMetricSpace) -> Ball:
+def _require_ultrametric(space: FiniteMetricSpace) -> list[tuple[float, int, int]]:
+    """The spanning tree edges of ``space``; raises ``NotUltrametric`` when d
+    exceeds its subdominant ultrametric by more than the limit."""
     edges, excess, limit = space._ultrametric
     if excess > limit:
         raise NotUltrametric(
             "the space does not satisfy the strong triangle inequality: d exceeds its"
             f" subdominant ultrametric by {excess:.3g}, limit {limit:.3g}"
         )
-    return _ball_tree(space.n, edges)
+    return edges
+
+
+def _find(up: list[int], a: int) -> int:
+    """Root of ``a`` in the union-find forest ``up``, halving the path."""
+    while up[a] != a:
+        up[a] = up[up[a]]
+        a = up[a]
+    return a
 
 
 def decompose(space: FiniteMetricSpace, full_split: bool = False) -> UltrametricTree:
     """Recursive diameter-split tree of an ultrametric space.
 
-    It is read off the ball tree, whose node children are the maximal balls
-    of radius strictly below the node diameter. One side of the split is the
-    largest such ball (ties broken toward the one containing the smallest
-    index) and the other is its complement, so cross-distances all equal the
-    diameter. Children are ordered by their smallest point index. Recursion
-    stops at singletons and at discrete blocks, whose gap is known exactly;
-    with ``full_split`` discrete blocks keep splitting down to singletons.
+    The spanning tree edges merge by union-find in ascending order, all edges
+    of one height together. The parts that one height joins into a set are
+    the classes of "closer than that height", the set's diameter. The set
+    splits into its largest part (ties broken toward the part holding the
+    smallest index) and the rest, so cross-distances all equal the diameter;
+    the rest splits again at the same height until it is one part.
+    Children are ordered by their smallest point index. Splitting stops at
+    singletons and at discrete blocks, single points at one height, whose
+    gap is known exactly; with ``full_split`` discrete blocks keep splitting
+    down to singletons. The tree is built bottom-up, with no recursion: it
+    can be as deep as n.
     """
-    balls = [_ultrametric_tree(space)]
-    sides: list[int | None] = []  # where each ball's two sides sit in ``balls``
-    for ball in balls:  # grows while it is read: no recursion, the tree can be as deep as n
-        kids = ball.children
-        if all(len(c.members) == 1 for c in kids) and not (kids and full_split):
-            sides.append(None)
-            continue
-        largest = max(kids, key=lambda c: len(c.members))
-        rest = tuple(c for c in kids if c is not largest)
-        if len(rest) > 1:
-            members = tuple(sorted(i for c in rest for i in c.members))
-            rest = (Ball(members, ball.height, rest),)
-        sides.append(len(balls))
-        balls += sorted((largest, rest[0]))
-    trees: list = [None] * len(balls)
-    for k in reversed(range(len(balls))):  # a ball's sides come after it
-        ball, s = balls[k], sides[k]
-        children = None if s is None else (trees[s], trees[s + 1])
-        labels = tuple(space.labels[i] for i in ball.members)
-        trees[k] = UltrametricTree(labels, ball.members, ball.height, children)
-    return trees[0]
+    edges = _require_ultrametric(space)
+    labels = space.labels
+    up = list(range(space.n))
+    top = [UltrametricTree((labels[i],), (i,), 0.0, None) for i in range(space.n)]  # by root
+    for height, group in groupby(sorted(edges), key=itemgetter(0)):
+        pairs = [(_find(up, p), _find(up, v)) for _, p, v in group]  # roots below ``height``
+        for a, b in pairs:
+            up[_find(up, a)] = _find(up, b)
+        joined: dict[int, list[UltrametricTree]] = {}  # the parts of each root at ``height``
+        for a in {a for pair in pairs for a in pair}:
+            joined.setdefault(_find(up, a), []).append(top[a])
+        for root, parts in joined.items():
+            top[root] = _split(labels, height, parts, full_split)
+    return top[_find(up, 0)]
+
+
+def _split(
+    labels, height: float, parts: list[UltrametricTree], full_split: bool
+) -> UltrametricTree:
+    """The node at ``height`` over ``parts``: the largest part against the
+    rest, which splits again at ``height``, built from the last split up."""
+    parts.sort(key=lambda part: (-part.size, part.indices[0]))
+    stop = len(parts) - 1  # the rest from ``stop`` on is one part or a discrete block
+    while not full_split and stop > 0 and parts[stop - 1].size == 1:
+        stop -= 1
+    if stop == len(parts) - 1:
+        node = parts[stop]
+    else:
+        indices = tuple(sorted(part.indices[0] for part in parts[stop:]))
+        node = UltrametricTree(tuple(labels[i] for i in indices), indices, height, None)
+    for part in reversed(parts[:stop]):
+        indices = tuple(sorted(part.indices + node.indices))  # merges two sorted runs
+        children = (part, node) if part.indices[0] < node.indices[0] else (node, part)
+        node = UltrametricTree(tuple(labels[i] for i in indices), indices, height, children)
+    return node
 
 
 @dataclass(frozen=True)
@@ -172,8 +201,6 @@ class SplitTerm:
     alpha_cap: float
     alpha_exact: float
     denominator: float
-    child_sizes: tuple[int, int]
-    child_diameters: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -233,37 +260,32 @@ def recursive_gap_bounds(
     powers = [_power(distance, p) for distance in distances]
     with np.errstate(over="ignore"):
         _check_powers(distances, 2.0 * np.array(powers), p)
-    power = {id(node): c_p for node, c_p in zip(nodes, powers)}
-    m_p = {}  # by id(node); children come after their parent in pre-order
-    margin = {}
-    for node in reversed(nodes):
-        c_p = power[id(node)]
+    m_p: list[float] = []  # a stack: in reversed pre-order a node follows its subtrees
+    margins = [0.0] * len(nodes)
+    for k in reversed(range(len(nodes))):
+        node, c_p = nodes[k], powers[k]
         if node.is_leaf:
-            m_p[id(node)] = (node.size - 1) / node.size * c_p
+            m_p.append((node.size - 1) / node.size * c_p)
         else:
-            m_l, m_r = (m_p[id(child)] for child in node.children)
-            margin[id(node)] = 2.0 * c_p - m_l - m_r
-            m_p[id(node)] = c_p - (c_p - m_l) * ((c_p - m_r) / margin[id(node)])
+            m_l, m_r = m_p.pop(), m_p.pop()
+            margins[k] = 2.0 * c_p - m_l - m_r
+            m_p.append(c_p - (c_p - m_l) * ((c_p - m_r) / margins[k]))
     splits: list[SplitTerm] = []
     leaves: list[LeafTerm] = []
     lower = 0.0
     alpha_sum = 0.0
-    for node in nodes:
+    for node, c_p, margin in zip(nodes, powers, margins):
         if node.is_leaf:
             if node.size == 1:
                 leaves.append(LeafTerm(node.labels, 1, 0.0, np.inf, 0.0))
             else:
-                gamma = power[id(node)] * gamma_discrete(node.size)
+                gamma = c_p * gamma_discrete(node.size)
                 leaves.append(
                     LeafTerm(node.labels, node.size, node.split_distance, gamma, 1.0 / gamma)
                 )
                 lower += 1.0 / gamma
             continue
-        left, right = node.children
-        delta_p = power[id(node)]
-        denominator = margin[id(node)]
-        alpha_exact = 2.0 / denominator
-        alpha_cap = node.size / delta_p
+        alpha_cap = node.size / c_p
         alpha_sum += alpha_cap
         splits.append(
             SplitTerm(
@@ -271,10 +293,8 @@ def recursive_gap_bounds(
                 size=node.size,
                 split_distance=node.split_distance,
                 alpha_cap=alpha_cap,
-                alpha_exact=alpha_exact,
-                denominator=denominator,
-                child_sizes=(left.size, right.size),
-                child_diameters=(left.split_distance, right.split_distance),
+                alpha_exact=2.0 / margin,
+                denominator=margin,
             )
         )
     if lower + alpha_sum == np.inf:  # every reciprocal term is at most this sum
@@ -305,24 +325,24 @@ class CoterieSet:
 def coteries(space: FiniteMetricSpace) -> CoterieSet:
     """All distinct minimum-distance balls holding at least two points.
 
-    These are the ball-tree nodes at the minimum positive distance, listed by
-    their smallest index.
+    These are the classes that the spanning tree edges of the minimum
+    positive distance join, listed by their smallest index.
     """
-    root = _ultrametric_tree(space)
+    edges = _require_ultrametric(space)
     if space.n < 2:
         raise SinglePoint("coteries need at least two points")
-    nodes = []
-    stack = [root]  # no recursion: the tree can be as deep as n
-    while stack:
-        ball = stack.pop()
-        if ball.children:
-            nodes.append(ball)
-            stack.extend(ball.children)
-    alpha = min(ball.height for ball in nodes)
-    groups = sorted(ball.members for ball in nodes if ball.height == alpha)
+    alpha = min(h for h, _, _ in edges)
+    up = list(range(space.n))
+    for h, p, v in edges:
+        if h == alpha:
+            up[_find(up, p)] = _find(up, v)
+    classes: dict[int, list[int]] = {}  # by root, in order of the smallest index
+    for i in range(space.n):
+        classes.setdefault(_find(up, i), []).append(i)
+    groups = [members for members in classes.values() if len(members) > 1]
     return CoterieSet(
         alpha=alpha,
-        coteries=tuple(tuple(space.labels[j] for j in ball) for ball in groups),
+        coteries=tuple(tuple(space.labels[j] for j in members) for members in groups),
         e=len(groups),
     )
 
@@ -353,7 +373,7 @@ def mp_ultrametric_properties(space: FiniteMetricSpace, p: float) -> Ultrametric
     numerical diagnostic, not only a test helper. b and M_p = 1 / (b | 1) are
     read from the certificate; the bound is met within 1e-12 of itself.
     """
-    _ultrametric_tree(space)
+    _require_ultrametric(space)
     if space.n < 2:
         raise SinglePoint("diagnostics need at least two points")
     cert = gap_mod.certify(p_distance_matrix(space, p))

@@ -4,7 +4,7 @@ The seven-point example space (a path-shaped weighted graph and its minimax
 distance matrix) is used throughout; random ultrametric spaces are built as
 random dendrograms with ascending merge heights, which guarantees the strong
 triangle inequality exactly. The ``brute_*`` functions are cubic oracles for
-the ultrametric ball tree, apart from ``brute_parse_matrix_text``, a
+the ultrametric structure, apart from ``brute_parse_matrix_text``, a
 reference matrix-file reader that converts every token. ``singular_crossing``
 builds graph metrics whose p-distance matrix is singular and has 1 outside
 its range. ``reference_sign_maximum`` is the exhaustive sign enumerator that the
@@ -30,6 +30,7 @@ from negtype import (
 from negtype.errors import ParseError
 from negtype.gap import _sign_patterns
 from negtype.metric import METRIC_RTOL, _content_lines
+from negtype.ultrametric import UltrametricTree
 
 EXAMPLE_LABELS = ("a", "b", "c", "d", "e", "f", "g")
 
@@ -221,6 +222,40 @@ def brute_strictly_ultrametric(a) -> bool:
         return False
     off_max = np.where(np.eye(n, dtype=bool), -np.inf, a).max(axis=1)
     return bool((np.diag(a) > off_max).all())
+
+
+def brute_decompose(space: FiniteMetricSpace, full_split: bool = False) -> UltrametricTree:
+    """Reference diameter-split tree, from the definition and with no recursion.
+
+    A set of diameter D splits into the classes of "closer than D". The
+    largest class (ties go to the one holding the smallest index) splits off
+    and the rest splits again at D. Single points are leaves, and so are
+    discrete blocks, whose classes are all single points, unless
+    ``full_split``. Children are ordered by their smallest index.
+    """
+    d = space.dist
+    sets = [tuple(range(space.n))]
+    diameters: list[float] = []
+    sides: list[int | None] = []  # where each set's two sides sit in ``sets``
+    for members in sets:  # grows while it is read
+        block = d[np.ix_(members, members)]
+        diameter = float(block.max())
+        diameters.append(diameter)
+        classes = sorted({tuple(np.array(members)[row < diameter].tolist()) for row in block})
+        if len(members) == 1 or (not full_split and all(len(c) == 1 for c in classes)):
+            sides.append(None)
+            continue
+        largest = max(classes, key=len)
+        rest = tuple(i for i in members if i not in largest)
+        sides.append(len(sets))
+        sets += sorted((largest, rest))
+    trees: list = [None] * len(sets)
+    for k in reversed(range(len(sets))):  # a set's sides come after it
+        s = sides[k]
+        children = None if s is None else (trees[s], trees[s + 1])
+        labels = tuple(space.labels[i] for i in sets[k])
+        trees[k] = UltrametricTree(labels, sets[k], diameters[k], children)
+    return trees[0]
 
 
 def brute_minimax(vertices, edges) -> np.ndarray:

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    brute_decompose,
     brute_strictly_ultrametric,
     caterpillar,
     random_connected_graph,
     random_dendrogram,
     random_euclidean,
+    repeated_height_ultrametric,
 )
 from negtype import (
     FiniteMetricSpace,
@@ -36,11 +38,22 @@ from negtype import (
 )
 from negtype import gap
 from negtype.errors import NegativeEntry, NonpositiveExponent, NotSymmetric, NotUltrametric
-from negtype.metric import _ball_tree, _spanning_tree
+from negtype.metric import _spanning_tree
 
 
 def dp_of(space, p=1.0):
     return p_distance_matrix(space, p)
+
+
+def reference_spaces(corpus):
+    """The corpus, spaces with repeated heights, and graph-derived spaces."""
+    rng = np.random.default_rng(10)
+    spaces = list(corpus)
+    for _ in range(20):
+        spaces.append(repeated_height_ultrametric(rng, int(rng.integers(2, 24))))
+        edges = random_connected_graph(rng, int(rng.integers(2, 20)))
+        spaces.append(ultrametric_from_graph(build_graph(edges)))
+    return spaces
 
 
 class TestStrictlyUltrametricCheck:
@@ -83,35 +96,7 @@ class TestStrictlyUltrametricCheck:
         assert min(outcomes.values()) >= 50
 
 
-class TestBallTree:
-    def test_children_are_the_maximal_strict_balls(self, corpus):
-        rng = np.random.default_rng(10)
-        spaces = list(corpus)
-        for _ in range(20):
-            edges = random_connected_graph(rng, int(rng.integers(2, 20)))
-            spaces.append(ultrametric_from_graph(build_graph(edges)))
-        for space in spaces:
-            d = space.dist
-            edges, sub = _spanning_tree(d)
-            root = _ball_tree(space.n, edges)
-            assert np.array_equal(sub, d)
-            assert root.members == tuple(range(space.n))
-            stack = [root]
-            while stack:
-                ball = stack.pop()
-                stack.extend(ball.children)
-                if not ball.children:
-                    assert len(ball.members) == 1 and ball.height == 0.0
-                    continue
-                members = np.array(ball.members)
-                block = d[np.ix_(members, members)]
-                assert block.max() == ball.height
-                # classes of "closer than the height" are exactly the children
-                classes = {tuple(members[row < ball.height].tolist()) for row in block}
-                assert classes == {child.members for child in ball.children}
-                firsts = [child.members[0] for child in ball.children]
-                assert firsts == sorted(firsts)
-
+class TestSpanningTree:
     def test_subdominant_never_exceeds_the_weights(self):
         rng = np.random.default_rng(12)
         for _ in range(30):
@@ -139,6 +124,30 @@ class TestDecompose:
         assert cd.labels == ("c", "d")
         assert ab.is_leaf and ab.split_distance == 2.0
         assert cd.is_leaf and cd.split_distance == 1.0
+
+    @pytest.mark.parametrize("full_split", [False, True])
+    def test_matches_the_reference_decomposition(self, corpus, full_split):
+        def keys(tree):
+            return [(n.labels, n.indices, n.split_distance, n.is_leaf) for n in tree.walk()]
+
+        for space in reference_spaces(corpus):
+            assert np.array_equal(_spanning_tree(space.dist)[1], space.dist)
+            tree = decompose(space, full_split)
+            reference = brute_decompose(space, full_split)
+            assert tree.serialize() == reference.serialize()
+            assert keys(tree) == keys(reference)
+
+    def test_pairs_joined_at_one_height_chain_without_recursion(self):
+        # 1000 pairs at distance 1 joined at 2: 999 nested splits at one height
+        n = 2000
+        d = np.full((n, n), 2.0)
+        even, odd = np.arange(0, n, 2), np.arange(1, n, 2)
+        d[even, odd] = d[odd, even] = 1.0
+        np.fill_diagonal(d, 0.0)
+        tree = decompose(validate_metric([f"x{i}" for i in range(n)], d))
+        expected = "".join(f"(split=2 [x{k} x{k + 1} @ 1] " for k in range(0, n - 2, 2))
+        expected += f"[x{n - 2} x{n - 1} @ 1]" + ")" * (n // 2 - 1)
+        assert tree.serialize() == expected
 
     def test_example_serialization(self, example78):
         tree = decompose(example78)
@@ -359,6 +368,20 @@ class TestCoteries:
     def test_not_ultrametric(self, line3):
         with pytest.raises(NotUltrametric):
             coteries(line3)
+
+    def test_matches_the_minimum_distance_classes(self, corpus):
+        for space in reference_spaces(corpus):
+            d, n = space.dist, space.n
+            alpha = d[~np.eye(n, dtype=bool)].min()
+            at_alpha = (d == alpha) | np.eye(n, dtype=bool)
+            classes = sorted({tuple(np.flatnonzero(row).tolist()) for row in at_alpha})
+            classes = [c for c in classes if len(c) > 1]
+            result = coteries(space)
+            assert result.alpha == alpha
+            assert result.coteries == tuple(tuple(space.labels[j] for j in c) for c in classes)
+            assert result.e == len(classes)
+            limit = 1.0 / sum(1.0 / gamma_discrete(len(c)) for c in classes)
+            assert asymptotic_gap_limit(space) == limit
 
 
 class TestAsymptoticLimit:
