@@ -83,8 +83,6 @@ def upper_bound_diameter(space: FiniteMetricSpace, p: float) -> DiameterBound:
 class GapBounds:
     lower: float
     upper: float
-    lower_provenance: str
-    upper_provenance: str
     row_sum_factor: float | None = None
     constant_row_sum: bool | None = None
 
@@ -116,8 +114,6 @@ def spectral_bounds(
     return GapBounds(
         lower=lower,
         upper=abs(lam_penult),
-        lower_provenance="row-sum-scaled spectral lower bound",
-        upper_provenance="penultimate eigenvalue magnitude",
         row_sum_factor=factor,
         constant_row_sum=constant,
     )

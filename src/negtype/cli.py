@@ -39,6 +39,10 @@ EXIT_INVALID_INPUT = 1
 EXIT_NOT_NEGATIVE_TYPE = 2
 EXIT_TOLERANCE_FAILURE = 3
 
+#: Relative slack within which ``ultra bounds`` requires its exact gap to lie
+#: in its recursive bounds.
+CONTAINMENT_RTOL = 1e-9
+
 
 def _load_matrix_space(path: str) -> FiniteMetricSpace:
     with open(path, "r", encoding="utf-8") as fh:
@@ -307,7 +311,14 @@ def cmd_ultra(args) -> tuple[dict, int]:
         report["bounds"] = _bounds_report(rec)
         if space.n <= args.cap:
             dp = p_distance_matrix(space, args.p)
-            report["gamma_exact"] = gap_mod.gap_exact(dp, cap=args.cap).gamma
+            gamma = gap_mod.gap_exact(dp, cap=args.cap).gamma
+            lower, upper = rec.gamma_lower, rec.gamma_upper
+            if not lower * (1.0 - CONTAINMENT_RTOL) <= gamma <= upper * (1.0 + CONTAINMENT_RTOL):
+                raise ToleranceFailure(
+                    f"exact gamma {_fmt(gamma)} lies outside its recursive bounds"
+                    f" [{_fmt(lower)}, {_fmt(upper)}], relative slack {CONTAINMENT_RTOL:g}"
+                )
+            report["gamma_exact"] = gamma
     else:  # coteries or asymptotic
         cots = ultra_mod.coteries(space)
         report["alpha"] = cots.alpha

@@ -297,6 +297,19 @@ class TestUltra:
         report = json.loads(out)
         assert report["bounds"]["gamma_lower"] <= report["gamma_exact"]
 
+    def test_exact_gap_outside_its_bounds_exits_three(self, capsys, tmp_path):
+        # the {a b} block bounds gamma by 1e-308; the gap enumerated on an
+        # inaccurate hat matrix reads 1.25e-293
+        path = tmp_path / "tiny.txt"
+        path.write_text("labels: a b c\n3\n0 1e-308 1\n1e-308 0 1\n1 1 0\n")
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, "ultra", "bounds", path, *extra)
+            assert (code, out) == (3, "")
+            assert err == (
+                "error: exact gamma 1.25260522501e-293 lies outside its recursive bounds"
+                " [1e-308, 1e-308], relative slack 1e-09\n"
+            )
+
     @pytest.mark.parametrize(
         "text, labels, dist",
         [

@@ -27,15 +27,18 @@ from helpers import (
 from negtype import metric
 from negtype import (
     WeightedGraph,
+    asymptotic_gap_limit,
     build_graph,
     certify,
     coteries,
     decompose,
     discrete_space,
     is_ultrametric,
+    mp_ultrametric_properties,
     p_distance_matrix,
     parse_edge_list_text,
     parse_matrix_text,
+    recursive_gap_bounds,
     scale_space,
     space_stats,
     ultrametric_from_graph,
@@ -169,6 +172,9 @@ class TestValidateMetric:
         assert is_ultrametric(space)
         decompose(space)
         coteries(space)
+        recursive_gap_bounds(space, 1.0)
+        asymptotic_gap_limit(space)
+        mp_ultrametric_properties(space, 1.0)
         assert spanning_tree_calls == [7]
 
     def test_memory_stays_quadratic(self):
