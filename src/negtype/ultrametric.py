@@ -159,7 +159,7 @@ def decompose(space: FiniteMetricSpace, full_split: bool = False) -> Ultrametric
     edges = _require_ultrametric(space)
     labels = space.labels
     up = list(range(space.n))
-    top = [UltrametricTree((labels[i],), (i,), 0.0, None) for i in range(space.n)]  # by root
+    top = [UltrametricTree((labels[i],), (i,), 0.0, None) for i in range(space.n)]  # per root
     for height, group in groupby(sorted(edges), key=itemgetter(0)):
         pairs = [(_find(up, p), _find(up, v)) for _, p, v in group]  # roots below ``height``
         for a, b in pairs:
@@ -173,7 +173,7 @@ def decompose(space: FiniteMetricSpace, full_split: bool = False) -> Ultrametric
 
 
 def _split(
-    labels, height: float, parts: list[UltrametricTree], full_split: bool
+    labels: tuple[str, ...], height: float, parts: list[UltrametricTree], full_split: bool
 ) -> UltrametricTree:
     """The node at ``height`` over ``parts``: the largest part against the
     rest, which splits again at ``height``, built from the last split up."""
