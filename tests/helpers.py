@@ -101,7 +101,7 @@ def repeated_height_ultrametric(rng: np.random.Generator, n: int) -> FiniteMetri
 
 
 def caterpillar(n: int) -> np.ndarray:
-    """Ultrametric d[i, j] = max(i, j) + 1: its ball tree has n - 1 levels."""
+    """Ultrametric d[i, j] = max(i, j) + 1: its single linkage has n - 1 levels."""
     i = np.arange(n)
     d = np.maximum.outer(i, i) + 1.0
     np.fill_diagonal(d, 0.0)
