@@ -14,7 +14,6 @@ from math import inf, log
 
 import numpy as np
 
-from . import gap as gap_mod
 from .errors import (
     NonzeroDiagonal,
     NotStrict,
@@ -87,9 +86,7 @@ class GapBounds:
     constant_row_sum: bool | None = None
 
 
-def spectral_bounds(
-    dp: PDistanceMatrix, cert: gap_mod.NegTypeCertificate | None = None
-) -> GapBounds:
+def spectral_bounds(dp: PDistanceMatrix) -> GapBounds:
     """Sandwich the gap between eigenvalue expressions (strict spaces only).
 
     The lower bound is |lambda_{n-1}| * gamma_discrete(n) scaled by the
@@ -97,8 +94,7 @@ def spectral_bounds(
     The factor is at most one, with equality exactly when the p-distance
     matrix has constant row sums.
     """
-    if cert is None:
-        cert = gap_mod.certify(dp)
+    cert = dp.certificate
     if not cert.strict:
         raise NotStrict("spectral bounds require strict p-negative type")
     n = dp.n

@@ -89,7 +89,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
     space = _load_matrix_space(args.file)
     dp = p_distance_matrix(space, args.p)
-    cert = gap_mod.certify(dp)
+    cert = dp.certificate
 
     report: dict = {
         "command": "analyze",
@@ -107,7 +107,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
         report["gap"] = None
         exit_code = EXIT_NOT_NEGATIVE_TYPE
     elif space.n <= args.cap:
-        result = gap_mod.gap_exact(dp, cap=args.cap, cert=cert)
+        result = gap_mod.gap_exact(dp, cap=args.cap)
         gap_report = {
             "mode": "exact",
             "gamma": result.gamma,
@@ -117,7 +117,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
         if result.z_star is not None:
             gap_report["z_star"] = [int(v) for v in result.z_star]
         if args.oracle and cert.strict:
-            oracle = gap_mod.gap_numeric_oracle(dp, seed=args.seed, cert=cert)
+            oracle = gap_mod.gap_numeric_oracle(dp, seed=args.seed)
             gap_report["oracle_gamma"] = oracle.gamma
             gap_report["oracle_restarts"] = oracle.restarts
         report["gap"] = gap_report
@@ -128,7 +128,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
             "note": f"{space.n} points exceed the enumeration cap {args.cap}",
         }
         if cert.strict:
-            sandwich = bounds_mod.spectral_bounds(dp, cert)
+            sandwich = bounds_mod.spectral_bounds(dp)
             mean_bound = bounds_mod.upper_bound_mean(space, args.p)
             gap_report.update(
                 lower=sandwich.lower,

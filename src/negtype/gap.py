@@ -17,6 +17,8 @@ computes the constant M_p = sup over the sum-one hyperplane of the form,
 builds the hat matrix, and maximizes over sign vectors exactly, evaluating
 only those that a bound does not rule out, with an independent sign-flip
 local search (its own bordered inverse, no hat matrix) as a cross-check.
+Every analysis here reads the one certificate that the matrix holds,
+``PDistanceMatrix.certificate``; ``certify`` itself caches nothing.
 """
 
 from __future__ import annotations
@@ -216,7 +218,7 @@ def _check_u_p(entries: np.ndarray, u_p: np.ndarray, m_p: float) -> None:
         raise ToleranceFailure(f"u_p sums to {u_p.sum():.17g}, off 1 by more than limit 1e-10")
 
 
-def hat_matrix(dp: PDistanceMatrix, cert: NegTypeCertificate | None = None) -> np.ndarray:
+def hat_matrix(dp: PDistanceMatrix) -> np.ndarray:
     """The rank-one-corrected negative inverse whose sign maximum gives the gap.
 
     Requires a strict space (nonsingular matrix with (D_p^-1 1 | 1) > 0).
@@ -226,8 +228,7 @@ def hat_matrix(dp: PDistanceMatrix, cert: NegTypeCertificate | None = None) -> n
     ToleranceFailure, which the row-sum test (limit scaling with max|hat|)
     would miss. The result annihilates the all-ones vector.
     """
-    if cert is None:
-        cert = certify(dp)
+    cert = dp.certificate
     if not cert.strict:
         raise NotStrict("hat matrix is defined only for strict p-negative type")
     if dp.n == 1:
@@ -358,11 +359,7 @@ def _sign_maximum(
     return z_star, float(z_star @ hat @ z_star), evaluated
 
 
-def gap_exact(
-    dp: PDistanceMatrix,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    cert: NegTypeCertificate | None = None,
-) -> GapResult:
+def gap_exact(dp: PDistanceMatrix, cap: int = DEFAULT_ENUMERATION_CAP) -> GapResult:
     """Exact gap by sign-vector maximization.
 
     The first sign is fixed to +1 (z and -z give equal values). Every other
@@ -373,8 +370,7 @@ def gap_exact(
     computed. Non-strict spaces of negative type report exactly 0; single
     points are unbounded.
     """
-    if cert is None:
-        cert = certify(dp)
+    cert = dp.certificate
     n = dp.n
     if n == 1:
         return GapResult(gamma=inf, beta=0.0, z_star=np.ones(1), method=GapMethod.SINGLE_POINT)
@@ -385,7 +381,7 @@ def gap_exact(
     if n > cap:
         raise TooManyPoints(n, cap)
 
-    z_star, beta, evaluated = _sign_maximum(hat_matrix(dp, cert))
+    z_star, beta, evaluated = _sign_maximum(hat_matrix(dp))
     if not beta > 0:
         raise ToleranceFailure(f"sign maximum {beta:.3g} on a strict space is not above 0")
     return GapResult(
@@ -415,7 +411,6 @@ def gap_numeric_oracle(
     restarts: int = 200,
     seed: int = 0,
     max_iterations: int = 600,
-    cert: NegTypeCertificate | None = None,
 ) -> OracleResult:
     """Independent gap estimate by sign-flip local search, avoiding the hat matrix.
 
@@ -439,9 +434,7 @@ def gap_numeric_oracle(
     ):
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
-    if cert is None:
-        cert = certify(dp)
-    if not cert.strict:
+    if not dp.certificate.strict:
         raise NotStrict("the numeric oracle requires a strict space")
     n = dp.n
     if n == 1:

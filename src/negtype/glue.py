@@ -95,8 +95,7 @@ def glue_spaces(spec: GlueSpec) -> FiniteMetricSpace:
 def _component_certs(spec: GlueSpec, p: float):
     dp1 = p_distance_matrix(spec.left, p)
     dp2 = p_distance_matrix(spec.right, p)
-    cert1 = gap_mod.certify(dp1)
-    cert2 = gap_mod.certify(dp2)
+    cert1, cert2 = dp1.certificate, dp2.certificate
     for side, cert in (("left", cert1), ("right", cert2)):
         if not cert.strict:
             raise ComponentNotStrict(f"{side} component is not of strict p-negative type")
@@ -137,9 +136,7 @@ def _require_strict_margin(spec: GlueSpec, p: float) -> GlueTypeResult:
     return result
 
 
-def glued_inverse(
-    dp1: PDistanceMatrix, dp2: PDistanceMatrix, c: float, p: float
-) -> np.ndarray:
+def glued_inverse(dp1: PDistanceMatrix, dp2: PDistanceMatrix, c: float) -> np.ndarray:
     """Inverse of the glued p-distance matrix, from the component certificates.
 
     A strict D_p has b = u_p / M_p and (b | 1) = 1 / M_p, so D_p^-1 is
@@ -147,10 +144,12 @@ def glued_inverse(
     with w = (u_L, -u_R) (see ``glued_hat_form``). With t = (c^p - M_R) / margin,
     u_p = (t u_L, (1 - t) u_R) sums to one and D_p u_p = M_p 1 for
     M_p = t M_L + (1 - t) c^p = (c^2p - M_L M_R) / margin. A single point has
-    hat 0, u_p = (1) and M_p = 0, so one expression covers every size.
+    hat 0, u_p = (1) and M_p = 0, so one expression covers every size. The
+    exponent is the components' own, which must agree.
     """
     spec = GlueSpec(left=dp1.source, right=dp2.source, c=c)
-    if dp1.p != p or dp2.p != p:
+    p = dp1.p
+    if dp2.p != p:
         raise ValueError("component matrices were built with a different exponent")
     dp1, dp2, cert1, cert2 = _component_certs(spec, p)
     margin = _require_strict_margin(spec, p).margin
@@ -159,8 +158,8 @@ def glued_inverse(
     m_p = (c ** (2 * p) - cert1.m_p * cert2.m_p) / margin
     w = np.concatenate([cert1.u_p, -cert2.u_p])
     hat = np.outer(w, w) / margin
-    hat[: dp1.n, : dp1.n] += gap_mod.hat_matrix(dp1, cert1)
-    hat[dp1.n :, dp1.n :] += gap_mod.hat_matrix(dp2, cert2)
+    hat[: dp1.n, : dp1.n] += gap_mod.hat_matrix(dp1)
+    hat[dp1.n :, dp1.n :] += gap_mod.hat_matrix(dp2)
     return np.outer(u, u) / m_p - hat
 
 
@@ -189,8 +188,8 @@ def glued_hat_form(spec: GlueSpec, p: float, z) -> GluedHatForm:
     direct = np.einsum("ij,ij->i", z @ hat, z)
 
     x, y = z[:, :n], z[:, n:]
-    hat1 = gap_mod.hat_matrix(dp1, cert1)
-    hat2 = gap_mod.hat_matrix(dp2, cert2)
+    hat1 = gap_mod.hat_matrix(dp1)
+    hat2 = gap_mod.hat_matrix(dp2)
     left_term = np.einsum("ij,ij->i", x @ hat1, x)
     right_term = np.einsum("ij,ij->i", y @ hat2, y)
     cross_term = (x @ cert1.u_p - y @ cert2.u_p) ** 2 / margin

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +38,9 @@ from .errors import (
     ToleranceFailure,
     TriangleViolation,
 )
+
+if TYPE_CHECKING:
+    from .gap import NegTypeCertificate
 
 #: Relative slack, scaled by the diameter, for triangle and strong-triangle checks.
 METRIC_RTOL = 1e-9
@@ -79,7 +82,8 @@ class FiniteMetricSpace:
 
 @dataclass(frozen=True)
 class PDistanceMatrix:
-    """Entrywise p-th power of a distance matrix, with its source space."""
+    """Entrywise p-th power of a distance matrix, with its source space and
+    the one certificate that every analysis of it reads."""
 
     p: float
     entries: np.ndarray
@@ -88,6 +92,13 @@ class PDistanceMatrix:
     @property
     def n(self) -> int:
         return self.source.n
+
+    @cached_property
+    def certificate(self) -> NegTypeCertificate:
+        """``negtype.gap.certify`` of this matrix, computed once, on first use."""
+        from . import gap  # here, not at the top: gap imports this module
+
+        return gap.certify(self)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import gap as gap_mod
 from .bounds import gamma_discrete
 from .errors import NegativeEntry, NotSymmetric, NotUltrametric, SinglePoint
 from .metric import (
@@ -376,7 +375,7 @@ def mp_ultrametric_properties(space: FiniteMetricSpace, p: float) -> Ultrametric
     _require_ultrametric(space)
     if space.n < 2:
         raise SinglePoint("diagnostics need at least two points")
-    cert = gap_mod.certify(p_distance_matrix(space, p))
+    cert = p_distance_matrix(space, p).certificate
     b, m_p = cert.b, cert.m_p
     diameter = float(space.dist.max())
     bound = (space.n - 1) / space.n * diameter**p

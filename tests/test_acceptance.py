@@ -153,7 +153,7 @@ def test_criterion_06_glue_algebra():
             glued = glue_spaces(spec)
             glued_dp = dp_of(glued, p)
 
-            inv = glued_inverse(dp_of(spec.left, p), dp_of(spec.right, p), spec.c, p)
+            inv = glued_inverse(dp_of(spec.left, p), dp_of(spec.right, p), spec.c)
             residual = np.abs(inv @ glued_dp.entries - np.eye(glued.n)).max()
             assert residual <= 1e-8
 

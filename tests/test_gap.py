@@ -37,6 +37,7 @@ from negtype import (
     hat_matrix,
     p_distance_matrix,
     scale_space,
+    spectral_bounds,
     validate_metric,
 )
 from negtype import gap, spectral
@@ -125,6 +126,21 @@ class TestCertify:
     def test_example_is_strict(self, example78):
         cert = certify(dp_of(example78))
         assert cert.strict
+
+    def test_the_matrix_holds_one_certificate(self, example78, monkeypatch):
+        # every analysis of one matrix reads the certificate it holds, made by
+        # one call of the module attribute; certify itself caches nothing
+        made = []
+        monkeypatch.setattr(gap, "certify", lambda dp: made.append(dp) or certify(dp))
+        dp = dp_of(example78)
+        gap_exact(dp)
+        hat_matrix(dp)
+        gap_numeric_oracle(dp, restarts=4)
+        spectral_bounds(dp)
+        assert len(made) == 1 and made[0] is dp
+        assert dp.certificate is dp.certificate
+        assert certify(dp) is not dp.certificate
+        assert dp_of(example78).certificate is not dp.certificate
 
     def test_two_point_constants(self):
         cert = certify(dp_of(discrete_space(2)))
@@ -331,9 +347,9 @@ def unit_summary(s, corpus):
         (space, 1.0) for space in corpus
     ]:
         dp = dp_of(scale_space(space, s), p)
-        cert = certify(dp)
+        cert = dp.certificate
         defined = cert.classification is not Classification.NOT_NEGATIVE_TYPE
-        gamma = gap_exact(dp, cert=cert).gamma / s**p if defined else None
+        gamma = gap_exact(dp).gamma / s**p if defined else None
         out.append((cert.classification, cert.m_p / s**p, gamma))
     spec = GlueSpec(scale_space(discrete_space(3), s), scale_space(two, s), s)
     glued = glue_type_condition(spec, 1.0)
@@ -401,26 +417,26 @@ class TestHatMatrix:
         # b comes from the certificate: hat_matrix makes the one inverse and
         # neither solves for b again nor decomposes D_p
         dp = dp_of(example78)
-        cert = certify(dp)
+        assert dp.certificate.strict
         assert factorization_calls == {"sym_eigen": 1, "lu_factor": 1, "inv": {}}
-        hat_matrix(dp, cert)
+        hat_matrix(dp)
         assert factorization_calls == {"sym_eigen": 1, "lu_factor": 1, "inv": {7: 1}}
 
     def test_non_finite_inverse_is_a_tolerance_failure(self):
         # b is finite, but D_p^-1 holds +-1 / 1e-309, which overflows
         eps = 1e-309
         dp = dp_of(validate_metric(["a", "b", "c"], [[0, eps, 1], [eps, 0, 1], [1, 1, 0]]))
-        cert = certify(dp)
+        cert = dp.certificate
         assert cert.strict and np.isfinite(cert.b).all()
         message = r"^D_p\^-1 \(3x3\) has 6 non-finite entries, limit 0$"
         with pytest.raises(ToleranceFailure, match=message):
-            hat_matrix(dp, cert)
+            hat_matrix(dp)
 
     def test_bitwise_equal_to_refined_explicit_inverse(self, example78):
         # Reference: LU inverse of D_p refined by up to three residual sweeps.
         for p in (0.5, 1.0, 2.0):
             dp = dp_of(example78, p)
-            cert = certify(dp)
+            cert = dp.certificate
             a, eye = dp.entries, np.eye(dp.n)
             lu = lu_factor(a)
             inv = lu_solve(lu, eye)
@@ -431,7 +447,7 @@ class TestHatMatrix:
                 inv = inv + lu_solve(lu, r)
             expected = np.outer(cert.b, cert.b) / cert.b.sum() - inv
             expected = 0.5 * (expected + expected.T)
-            assert np.array_equal(hat_matrix(dp, cert), expected)
+            assert np.array_equal(hat_matrix(dp), expected)
 
 
 class TestGapExact:
@@ -707,8 +723,7 @@ class TestNumericOracle:
 
     def test_independent_of_hat_matrix_and_enumeration(self, monkeypatch):
         dp = dp_of(random_euclidean(np.random.default_rng(20), 20), 1.5)
-        cert = certify(dp)
-        exact = gap_exact(dp, cert=cert).gamma
+        exact = gap_exact(dp).gamma
 
         def disabled(*args, **kwargs):
             raise AssertionError("the oracle must not call this")
@@ -717,7 +732,7 @@ class TestNumericOracle:
         monkeypatch.setattr(gap, "_sign_maximum", disabled)
         monkeypatch.setattr(spectral, "refined_solve", disabled)
         monkeypatch.setattr(spectral, "lu_factor", disabled)
-        oracle = gap_numeric_oracle(dp, cert=cert)
+        oracle = gap_numeric_oracle(dp)
         assert oracle.gamma == pytest.approx(exact, rel=1e-12, abs=0.0)
         self.assert_form_identity(dp, oracle)
 

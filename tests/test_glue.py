@@ -142,14 +142,14 @@ class TestTypeCondition:
 class TestGluedInverse:
     def test_two_pairs_match_direct_inverse(self, pair_x2):
         left, right = pair_x2
-        inv = glued_inverse(dp_of(left), dp_of(right), 1.0, 1.0)
+        inv = glued_inverse(dp_of(left), dp_of(right), 1.0)
         direct = np.linalg.inv(discrete_space(4).dist)
         assert np.abs(inv - direct).max() <= 1e-12
 
     def test_bordered_case_matches_direct(self):
         left = relabel(discrete_space(3), "L")
         right = validate_metric(["y"], [[0.0]])
-        inv = glued_inverse(dp_of(left), dp_of(right), 1.0, 1.0)
+        inv = glued_inverse(dp_of(left), dp_of(right), 1.0)
         glued = glue_spaces(GlueSpec(left=left, right=right, c=1.0))
         direct = np.linalg.inv(glued.dist)
         assert np.abs(inv - direct).max() <= 1e-12
@@ -157,7 +157,7 @@ class TestGluedInverse:
     def test_point_first_swaps_cleanly(self):
         left = validate_metric(["y"], [[0.0]])
         right = relabel(discrete_space(3), "R")
-        inv = glued_inverse(dp_of(left), dp_of(right), 1.0, 1.0)
+        inv = glued_inverse(dp_of(left), dp_of(right), 1.0)
         glued = glue_spaces(GlueSpec(left=left, right=right, c=1.0))
         direct = np.linalg.inv(glued.dist)
         assert np.abs(inv - direct).max() <= 1e-12
@@ -165,12 +165,12 @@ class TestGluedInverse:
     def test_both_single_points(self):
         left = validate_metric(["x"], [[0.0]])
         right = validate_metric(["y"], [[0.0]])
-        inv = glued_inverse(dp_of(left, 2.0), dp_of(right, 2.0), 3.0, 2.0)
+        inv = glued_inverse(dp_of(left, 2.0), dp_of(right, 2.0), 3.0)
         assert np.allclose(inv, [[0.0, 1.0 / 9.0], [1.0 / 9.0, 0.0]], atol=1e-15)
 
     def test_multiply_back_on_random_pairs(self):
         for spec, p in random_glue_pairs(20):
-            inv = glued_inverse(dp_of(spec.left, p), dp_of(spec.right, p), spec.c, p)
+            inv = glued_inverse(dp_of(spec.left, p), dp_of(spec.right, p), spec.c)
             glued_dp = dp_of(glue_spaces(spec), p).entries
             residual = np.abs(inv @ glued_dp - np.eye(glued_dp.shape[0])).max()
             assert residual <= 1e-8
@@ -188,11 +188,11 @@ class TestGluedInverse:
                 sides[1] = validate_metric(["R1"], [[0.0]])
             for p in (0.5, 1.0, 2.0):
                 spec = bridged(rng, *sides, p)
-                unit = glued_inverse(dp_of(spec.left, p), dp_of(spec.right, p), spec.c, p)
+                unit = glued_inverse(dp_of(spec.left, p), dp_of(spec.right, p), spec.c)
                 for k in (-12, -6, 0, 6, 12):
                     s = 10.0**k
                     left, right = scale_space(spec.left, s), scale_space(spec.right, s)
-                    inv = glued_inverse(dp_of(left, p), dp_of(right, p), spec.c * s, p)
+                    inv = glued_inverse(dp_of(left, p), dp_of(right, p), spec.c * s)
                     glued = glue_spaces(GlueSpec(left=left, right=right, c=spec.c * s))
                     direct = np.linalg.inv(dp_of(glued, p).entries)
                     size = np.abs(direct).max()
@@ -202,17 +202,17 @@ class TestGluedInverse:
     def test_boundary_rejected(self, pair_x2):
         left, right = pair_x2
         with pytest.raises(BoundaryOrWorse):
-            glued_inverse(dp_of(left), dp_of(right), 0.5, 1.0)
+            glued_inverse(dp_of(left), dp_of(right), 0.5)
 
     def test_component_not_strict_rejected(self, line3):
         right = relabel(discrete_space(2), "R")
         with pytest.raises(ComponentNotStrict):
-            glued_inverse(dp_of(line3, 2.0), dp_of(right, 2.0), 5.0, 2.0)
+            glued_inverse(dp_of(line3, 2.0), dp_of(right, 2.0), 5.0)
 
     def test_exponent_mismatch_rejected(self, pair_x2):
         left, right = pair_x2
         with pytest.raises(ValueError, match="different exponent"):
-            glued_inverse(dp_of(left, 2.0), dp_of(right, 2.0), 1.0, 1.0)
+            glued_inverse(dp_of(left, 2.0), dp_of(right), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -229,7 +229,7 @@ def test_every_factor_belongs_to_a_certificate(call, inverses, example78, factor
     left = relabel(discrete_space(3), "L")
     spec = GlueSpec(left=left, right=example78, c=20.0)
     if call == "glued_inverse":
-        glued_inverse(dp_of(left), dp_of(example78), spec.c, 1.0)
+        glued_inverse(dp_of(left), dp_of(example78), spec.c)
     elif call == "glued_hat_form":
         glued_hat_form(spec, 1.0, np.ones(10))
     else:
