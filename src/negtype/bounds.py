@@ -160,9 +160,7 @@ def xi_enlargement(space: FiniteMetricSpace, p: float, gamma: float) -> XiResult
 class AveragingIdentity:
     lhs: float
     rhs: float
-    parity: str
     sample_count: int
-    mean_off_diagonal: float
 
 
 def averaging_identity(b) -> AveragingIdentity:
@@ -188,22 +186,17 @@ def averaging_identity(b) -> AveragingIdentity:
         raise NonzeroDiagonal(int(bad[0]))
 
     mean_off = float(b[~np.eye(n, dtype=bool)].mean())
+    m = n // 2
     if n % 2 == 0:
-        m = n // 2
         ones_count, low_value = m, -1.0
         rhs = -n * mean_off
-        parity = "even"
     else:
-        m = n // 2
         ones_count, low_value = m + 1, -1.0 - 1.0 / m
         rhs = -((m + 1) * n / m) * mean_off
-        parity = "odd"
 
     supports = list(combinations(range(n), ones_count))
     x = np.full((len(supports), n), low_value)
     for row, support in enumerate(supports):
         x[row, list(support)] = 1.0
     lhs = float(np.einsum("ij,ij->i", x @ b, x).mean())
-    return AveragingIdentity(
-        lhs=lhs, rhs=rhs, parity=parity, sample_count=len(supports), mean_off_diagonal=mean_off
-    )
+    return AveragingIdentity(lhs=lhs, rhs=rhs, sample_count=len(supports))

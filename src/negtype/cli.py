@@ -40,7 +40,8 @@ EXIT_NOT_NEGATIVE_TYPE = 2
 EXIT_TOLERANCE_FAILURE = 3
 
 #: Relative slack within which ``ultra bounds`` requires its exact gap to lie
-#: in its recursive bounds.
+#: in its recursive bounds, and ``analyze`` its exact gap to lie below the
+#: smallest d^p and the mean bound.
 CONTAINMENT_RTOL = 1e-9
 
 
@@ -108,6 +109,8 @@ def cmd_analyze(args) -> tuple[dict, int]:
         exit_code = EXIT_NOT_NEGATIVE_TYPE
     elif space.n <= args.cap:
         result = gap_mod.gap_exact(dp, cap=args.cap)
+        if space.n >= 2:
+            _check_below_upper_bounds(result.gamma, space, args.p, report["input"])
         gap_report = {
             "mode": "exact",
             "gamma": result.gamma,
@@ -148,6 +151,17 @@ def cmd_analyze(args) -> tuple[dict, int]:
     else:
         report["xi"] = None
     return report, exit_code
+
+
+def _check_below_upper_bounds(gamma: float, space, p: float, echo: dict) -> None:
+    """Raise ToleranceFailure unless gamma <= min(min d^p, mean bound), with
+    relative slack. The definition at a = e_x - e_y gives gamma <= d(x, y)^p."""
+    bound = min(echo["min_positive"] ** p, bounds_mod.upper_bound_mean(space, p))
+    if not gamma <= bound * (1.0 + CONTAINMENT_RTOL):
+        raise ToleranceFailure(
+            f"exact gamma {_fmt(gamma)} exceeds its upper bound {_fmt(bound)},"
+            f" relative slack {CONTAINMENT_RTOL:g}"
+        )
 
 
 def _render_analyze(report: dict, out) -> None:
@@ -340,7 +354,7 @@ def _bounds_report(rec: ultra_mod.RecursiveGapBounds) -> dict:
             {
                 "labels": list(leaf.labels),
                 "distance": leaf.distance,
-                "gamma": leaf.gamma,
+                "gamma": leaf.gamma if leaf.size > 1 else None,  # JSON has no infinity
                 "reciprocal": leaf.reciprocal,
             }
             for leaf in rec.leaves

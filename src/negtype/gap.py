@@ -226,7 +226,9 @@ def hat_matrix(dp: PDistanceMatrix) -> np.ndarray:
     ``certify``'s solve ran without a zero pivot, and up to three sweeps of
     ``spectral.refined_solve`` refine it. A non-finite entry raises
     ToleranceFailure, which the row-sum test (limit scaling with max|hat|)
-    would miss. The result annihilates the all-ones vector.
+    would miss, and so does a NaN. The rank-one term b b^T / (b | 1) is
+    formed as b u_p^T, with no product b_i b_j to leave the float range when
+    d^p does. The result annihilates the all-ones vector.
     """
     cert = dp.certificate
     if not cert.strict:
@@ -237,12 +239,11 @@ def hat_matrix(dp: PDistanceMatrix) -> np.ndarray:
     if bad := np.count_nonzero(~np.isfinite(inv)):
         raise ToleranceFailure(f"D_p^-1 ({dp.n}x{dp.n}) has {bad} non-finite entries, limit 0")
     inv = spectral.refined_solve(dp.entries, np.eye(dp.n), inv, inv)
-    b = cert.b
-    hat = np.outer(b, b) / b.sum() - inv
+    hat = np.outer(cert.b, cert.u_p) - inv
     hat = 0.5 * (hat + hat.T)
     residual = float(np.abs(hat @ np.ones(dp.n)).max())
     limit = 1e-8 * max(float(np.abs(hat).max()), 1e-300) * dp.n
-    if residual > limit:
+    if not residual <= limit:
         raise ToleranceFailure(f"hat row-sum residual {residual:.3g} exceeds limit {limit:.3g}")
     return hat
 

@@ -22,7 +22,14 @@ from .errors import (
     ComponentNotStrict,
     LabelCollision,
 )
-from .metric import FiniteMetricSpace, PDistanceMatrix, p_distance_matrix, validate_metric
+from .metric import (
+    FiniteMetricSpace,
+    PDistanceMatrix,
+    _check_powers,
+    _power,
+    p_distance_matrix,
+    validate_metric,
+)
 from .spectral import refined_solve  # noqa: F401 (unused; bench/test_bench.py pins this tracer binding)
 
 
@@ -76,8 +83,6 @@ class GluedHatForm:
 
     direct: float | np.ndarray
     decomposition: float | np.ndarray
-    left_term: float | np.ndarray
-    right_term: float | np.ndarray
     cross_term: float | np.ndarray
 
 
@@ -107,11 +112,14 @@ def glue_type_condition(spec: GlueSpec, p: float) -> GlueTypeResult:
 
     Both components must be strict. A margin within tolerance of zero is the
     boundary case (negative type, not strict); a negative margin means the
-    glued space is not of p-negative type at all.
+    glued space is not of p-negative type at all. Raises ValueError, as
+    ``p_distance_matrix`` does, when 2c^p leaves the float range.
     """
     _, _, cert1, cert2 = _component_certs(spec, p)
-    margin = 2.0 * spec.c**p - cert1.m_p - cert2.m_p
-    tol = 1e-9 * 2.0 * spec.c**p  # the margin's own unit, d^p
+    c_p = _power(spec.c, p)
+    _check_powers([spec.c], [2.0 * c_p], p)
+    margin = 2.0 * c_p - cert1.m_p - cert2.m_p
+    tol = 1e-9 * 2.0 * c_p  # the margin's own unit, d^p
     if margin > tol:
         classification = GlueClassification.STRICT
     elif margin >= -tol:
@@ -143,9 +151,10 @@ def glued_inverse(dp1: PDistanceMatrix, dp2: PDistanceMatrix, c: float) -> np.nd
     u_p u_p^T / M_p - hat. The glued hat is hat_L (+) hat_R + w w^T / margin
     with w = (u_L, -u_R) (see ``glued_hat_form``). With t = (c^p - M_R) / margin,
     u_p = (t u_L, (1 - t) u_R) sums to one and D_p u_p = M_p 1 for
-    M_p = t M_L + (1 - t) c^p = (c^2p - M_L M_R) / margin. A single point has
-    hat 0, u_p = (1) and M_p = 0, so one expression covers every size. The
-    exponent is the components' own, which must agree.
+    M_p = t M_L + (1 - t) c^p = c^p - (c^p - M_L) t, formed with no c^2p to
+    leave the float range. A single point has hat 0, u_p = (1) and M_p = 0,
+    so one expression covers every size. The exponent is the components'
+    own, which must agree.
     """
     spec = GlueSpec(left=dp1.source, right=dp2.source, c=c)
     p = dp1.p
@@ -153,9 +162,10 @@ def glued_inverse(dp1: PDistanceMatrix, dp2: PDistanceMatrix, c: float) -> np.nd
         raise ValueError("component matrices were built with a different exponent")
     dp1, dp2, cert1, cert2 = _component_certs(spec, p)
     margin = _require_strict_margin(spec, p).margin
-    t = (c**p - cert2.m_p) / margin
+    c_p = c**p  # finite: the margin check bounded 2c^p
+    t = (c_p - cert2.m_p) / margin
     u = np.concatenate([t * cert1.u_p, (1.0 - t) * cert2.u_p])
-    m_p = (c ** (2 * p) - cert1.m_p * cert2.m_p) / margin
+    m_p = c_p - (c_p - cert1.m_p) * t
     w = np.concatenate([cert1.u_p, -cert2.u_p])
     hat = np.outer(w, w) / margin
     hat[: dp1.n, : dp1.n] += gap_mod.hat_matrix(dp1)
@@ -193,7 +203,7 @@ def glued_hat_form(spec: GlueSpec, p: float, z) -> GluedHatForm:
     left_term = np.einsum("ij,ij->i", x @ hat1, x)
     right_term = np.einsum("ij,ij->i", y @ hat2, y)
     cross_term = (x @ cert1.u_p - y @ cert2.u_p) ** 2 / margin
-    terms = (direct, left_term + right_term + cross_term, left_term, right_term, cross_term)
+    terms = (direct, left_term + right_term + cross_term, cross_term)
     return GluedHatForm(*(terms if batched else (float(t[0]) for t in terms)))
 
 

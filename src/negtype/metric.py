@@ -200,6 +200,14 @@ def _check_powers(distances, powers, p: float) -> None:
         raise ValueError(f"distance powers underflow to zero at exponent {p}")
 
 
+def _power(distance: float, p: float) -> float:
+    """distance**p in Python floats, with inf where it overflows."""
+    try:
+        return distance**p
+    except OverflowError:
+        return np.inf
+
+
 def p_distance_matrix(space: FiniteMetricSpace, p: float) -> PDistanceMatrix:
     """Entrywise p-th power of the distance matrix (p > 0)."""
     _check_exponent(p)

@@ -24,6 +24,7 @@ from .metric import (
     FiniteMetricSpace,
     _check_exponent,
     _check_powers,
+    _power,
     _spanning_tree,
     p_distance_matrix,
 )
@@ -306,14 +307,6 @@ def recursive_gap_bounds(
     )
 
 
-def _power(distance: float, p: float) -> float:
-    """distance**p in Python floats, with inf where it overflows."""
-    try:
-        return distance**p
-    except OverflowError:
-        return np.inf
-
-
 @dataclass(frozen=True)
 class CoterieSet:
     alpha: float
@@ -362,7 +355,6 @@ class UltrametricDiagnostics:
     mp_bound_satisfied: bool
     m_p: float
     bound: float
-    min_inverse_entry: float
 
 
 def mp_ultrametric_properties(space: FiniteMetricSpace, p: float) -> UltrametricDiagnostics:
@@ -385,5 +377,4 @@ def mp_ultrametric_properties(space: FiniteMetricSpace, p: float) -> Ultrametric
         mp_bound_satisfied=bool(m_p <= bound + tol),
         m_p=m_p,
         bound=bound,
-        min_inverse_entry=float(b.min()),
     )

@@ -137,6 +137,19 @@ class TestAnalyze:
         assert err == ("error: LU of the 20x20 matrix is singular: "
                        "a pivot of magnitude 0, not above limit 0\n")
 
+    def test_exact_gap_above_its_upper_bound_exits_three(self, capsys, tmp_path):
+        # the definition at e_a - e_b bounds gamma by d(a, b)^p = 1e-308; the
+        # gap enumerated on an inaccurate hat matrix reads 1.25e-293
+        path = tmp_path / "tiny.txt"
+        path.write_text("labels: a b c\n3\n0 1e-308 1\n1e-308 0 1\n1 1 0\n")
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, "analyze", path, *extra)
+            assert (code, out) == (3, "")
+            assert err == (
+                "error: exact gamma 1.25260522501e-293 exceeds its upper bound 1e-308,"
+                " relative slack 1e-09\n"
+            )
+
     def test_blas_thread_count_does_not_change_output(self, tmp_path):
         # n = 24 has the largest enumeration tables under the default cap; at
         # p = 3 line3 and the n = 20 space are not of negative type and get a witness
@@ -232,6 +245,14 @@ class TestGlue:
         assert report["classification"] == "NotNegativeType"
         assert report["margin"] == pytest.approx(-0.6, abs=1e-12)
 
+    def test_overflowing_bridge_power_exits_one(self, capsys, tmp_path):
+        # the components are in range, but 2c^p is not; c**p raised OverflowError
+        path = tmp_path / "x3.txt"
+        path.write_text("3\n0 1 1\n1 0 1\n1 1 0\n")
+        code, out, err = run(capsys, "glue", path, DATA / "x2_ab.txt", "--c", "1e10", "--p", "31")
+        assert (code, out) == (1, "")
+        assert err == "error: distance powers overflow at exponent 31.0\n"
+
 
 class TestUltra:
     def test_decompose_from_edge_list(self, capsys):
@@ -264,6 +285,21 @@ class TestUltra:
         assert report["bounds"]["lower_reciprocal"] == pytest.approx(2.5, abs=1e-12)
         assert report["bounds"]["upper_reciprocal"] == pytest.approx(8.25, abs=1e-12)
         assert report["gamma_exact"] == pytest.approx(0.3870458135860979, rel=1e-12)
+
+    def test_bounds_json_is_strict_json(self, capsys):
+        # a singleton leaf has no gap to report: null, not the non-JSON Infinity
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        singletons = 0
+        for path in sorted(DATA.glob("*.txt")):
+            code, out, _ = run(capsys, "ultra", "bounds", path, "--json")
+            if code != 0:
+                continue
+            for leaf in json.loads(out, parse_constant=refuse)["bounds"]["leaves"]:
+                assert (leaf["gamma"] is None) is (len(leaf["labels"]) == 1)
+                singletons += leaf["gamma"] is None
+        assert singletons > 0
 
     def test_asymptotic(self, capsys):
         code, out, _ = run(capsys, "ultra", "asymptotic", DATA / "example_graph.txt", "--json")

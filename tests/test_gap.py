@@ -445,9 +445,21 @@ class TestHatMatrix:
                 if not np.abs(r).any():
                     break
                 inv = inv + lu_solve(lu, r)
-            expected = np.outer(cert.b, cert.b) / cert.b.sum() - inv
+            expected = np.outer(cert.b, cert.u_p) - inv
             expected = 0.5 * (expected + expected.T)
             assert np.array_equal(hat_matrix(dp), expected)
+
+
+    @pytest.mark.parametrize("s", [1e-10, 1e10])
+    @pytest.mark.parametrize("p", [16.0, 30.0])
+    def test_rank_one_term_stays_in_the_float_range(self, s, p):
+        # b_i b_j would be 1e+-320 and more, outside the float range; the
+        # discrete three-point gap is 3/4 of the distance power at every scale
+        dp = dp_of(scale_space(discrete_space(3), s), p)
+        hat = hat_matrix(dp)
+        assert np.isfinite(hat).all()
+        assert np.abs(hat @ np.ones(3)).max() <= 1e-12 * np.abs(hat).max()
+        assert gap_exact(dp).gamma == pytest.approx(0.75 * s**p, rel=1e-15, abs=0.0)
 
 
 class TestGapExact:

@@ -199,6 +199,15 @@ class TestGluedInverse:
                     assert np.abs(inv - direct).max() <= 1e-12 * size
                     assert np.abs(inv - unit / s**p).max() <= 1e-12 * size
 
+    @pytest.mark.parametrize("p", [16.0, 30.0])
+    def test_bridge_powers_near_the_float_limit(self, p):
+        # every entry is finite, but c^2p is not: M_p is formed without it
+        left, right = relabel(discrete_space(3), "L"), relabel(discrete_space(2), "R")
+        inv = glued_inverse(dp_of(left, p), dp_of(right, p), 1e10)
+        glued = glue_spaces(GlueSpec(left=left, right=right, c=1e10))
+        direct = np.linalg.inv(dp_of(glued, p).entries)
+        assert np.abs(inv - direct).max() <= 1e-15 * np.abs(direct).max()
+
     def test_boundary_rejected(self, pair_x2):
         left, right = pair_x2
         with pytest.raises(BoundaryOrWorse):
