@@ -2,7 +2,8 @@
 
 Distances are stored as float64. Validation tolerances are relative to the
 diameter so that exact (integer-valued) inputs never produce false rejections
-while file-parsed decimals survive round-off.
+while file-parsed decimals survive round-off. A ``PDistanceMatrix`` holds the
+one certificate (``negtype.gap.certify``) that every analysis of it reads.
 
 Ultrametric structure comes from one O(n^2) minimum spanning tree pass,
 ``_spanning_tree``: the strong-triangle test and the graph minimax distances

@@ -14,7 +14,7 @@ import pytest
 
 import negtype
 from helpers import caterpillar, random_euclidean, random_ultrametric
-from negtype import p_distance_matrix, spectral
+from negtype import gap, p_distance_matrix, spectral
 from negtype.cli import _build_parser, _load_matrix_space, _load_ultra_space, main
 
 DATA = Path(__file__).parent / "data"
@@ -466,6 +466,16 @@ exact glued gap: 0.5
         id="glue",
     ),
     pytest.param(
+        ["glue", "x5_a.txt", "x5_b.txt", "--c", "5", "--cap", "4"], 0,
+        """\
+glued 5 + 5 points at c = 5, p = 1
+classification: Strict  margin = 8.4
+M_p: left 0.8  right 0.8
+gap bounds: not computed (a component of 5 points exceeds the enumeration cap 4)
+""",
+        id="glue-above-the-cap",
+    ),
+    pytest.param(
         ["ultra", "decompose", "example_graph.txt"], 0,
         ULTRA_HEAD + """\
 decomposition: (split=4 (split=3 (split=2 [a b @ 2] [c d @ 1]) [e f @ 1]) [g @ 0])
@@ -532,6 +542,26 @@ def test_inverses_are_made_only_for_hat_matrices(capsys, factorization_calls, ar
     code, _, err = run(capsys, *argv)
     assert (code, err) == (exit_code, "")
     assert factorization_calls["inv"] == inverses
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        pytest.param(["analyze", "example_matrix.txt", "--oracle"], [7], id="analyze"),
+        pytest.param(["ultra", "bounds", "example_graph.txt"], [7], id="ultra-bounds"),
+        # bench/test_bench.py pins these 9 calls for 3 matrices as
+        # glue.certify_per_op; one analysis per matrix in glue will lower both
+        pytest.param(["glue", "x5_a.txt", "x5_b.txt", "--c", "5"], [5, 5, 5, 5, 5, 5, 5, 5, 10],
+                     id="glue"),
+    ],
+)
+def test_certify_calls_per_command(capsys, monkeypatch, argv, calls):
+    # counted at the module attribute, the binding that the bench tracer wraps
+    real, sizes = gap.certify, []
+    monkeypatch.setattr(gap, "certify", lambda dp: sizes.append(dp.n) or real(dp))
+    code, _, err = run(capsys, *(DATA / a if a.endswith(".txt") else a for a in argv))
+    assert (code, err) == (0, "")
+    assert sizes == calls
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):

@@ -47,6 +47,7 @@ from negtype import (
 from negtype.errors import (
     AsymmetricMatrix,
     DisconnectedGraph,
+    LabelCollision,
     NonpositiveExponent,
     NonpositiveOffDiagonal,
     NonpositiveScale,
@@ -84,6 +85,25 @@ class TestValidateMetric:
     def test_nonpositive_off_diagonal(self):
         with pytest.raises(NonpositiveOffDiagonal):
             validate_metric(["a", "b"], [[0, 0], [0, 0]])
+
+    @pytest.mark.parametrize(
+        "labels, raw, error, message",
+        [
+            pytest.param(["a", "a"], [[0, 1], [1, 0]], LabelCollision, "duplicate point labels",
+                         id="duplicate-labels"),
+            pytest.param(["a", "b", "c"], [[0, 1], [1, 0]], ValueError,
+                         r"expected a 3x3 matrix, got shape \(2, 2\)", id="wrong-shape"),
+            pytest.param(["a", "b"], [0, 1], ValueError,
+                         r"expected a 2x2 matrix, got shape \(2,\)", id="one-dimensional"),
+            pytest.param(["a", "b"], [[0, np.inf], [np.inf, 0]], ValueError,
+                         "distance matrix contains non-finite entries", id="infinite"),
+            pytest.param(["a", "b"], [[0, np.nan], [np.nan, 0]], ValueError,
+                         "distance matrix contains non-finite entries", id="nan"),
+        ],
+    )
+    def test_rejects_before_the_matrix_checks(self, labels, raw, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            validate_metric(labels, raw)
 
     def test_single_point_is_valid(self):
         space = validate_metric(["x"], [[0.0]])
@@ -473,6 +493,16 @@ class TestParsers:
             pytest.param("1\n0\n0 1\n", 3, "expected 1 entries, found 2", id="width-before-extra"),
             pytest.param("1\n0\n0\n", 3, "more rows than the declared count", id="extra-row"),
             pytest.param("1\n0\nx\n", 3, "bad matrix row: 'x'", id="bad-before-extra"),
+            pytest.param("labels: a\n# c\nlabels: a\n1\n0\n", 3, "duplicate labels line",
+                         id="duplicate-labels-line"),
+            pytest.param("labels: a\ntwo\n0\n", 2, "expected point count, got 'two'",
+                         id="bad-count"),
+            pytest.param("2.0\n0 1\n1 0\n", 1, "expected point count, got '2.0'",
+                         id="fractional-count"),
+            pytest.param("0\n", 1, "point count must be at least 1", id="count-below-one"),
+            pytest.param("# only\nlabels: a\n", 0, "missing point count", id="missing-count"),
+            pytest.param("labels: a b c\n2\n0 1\n1 0\n", 0, "3 labels for 2 points",
+                         id="label-count-mismatch"),
         ],
     )
     def test_matrix_row_errors_keep_their_order(self, text, line, message):
