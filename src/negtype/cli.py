@@ -109,8 +109,14 @@ def cmd_analyze(args) -> tuple[dict, int]:
         exit_code = EXIT_NOT_NEGATIVE_TYPE
     elif space.n <= args.cap:
         result = gap_mod.gap_exact(dp, cap=args.cap)
-        if space.n >= 2:
-            _check_below_upper_bounds(result.gamma, space, args.p, report["input"])
+        if space.n >= 2:  # the definition at a = e_x - e_y gives gamma <= d(x, y)^p
+            min_power = report["input"]["min_positive"] ** args.p
+            bound = min(min_power, bounds_mod.upper_bound_mean(space, args.p))
+            if not result.gamma <= bound * (1.0 + CONTAINMENT_RTOL):
+                raise ToleranceFailure(
+                    f"exact gamma {_fmt(result.gamma)} exceeds its upper bound {_fmt(bound)},"
+                    f" relative slack {CONTAINMENT_RTOL:g}"
+                )
         gap_report = {
             "mode": "exact",
             "gamma": result.gamma,
@@ -151,17 +157,6 @@ def cmd_analyze(args) -> tuple[dict, int]:
     else:
         report["xi"] = None
     return report, exit_code
-
-
-def _check_below_upper_bounds(gamma: float, space, p: float, echo: dict) -> None:
-    """Raise ToleranceFailure unless gamma <= min(min d^p, mean bound), with
-    relative slack. The definition at a = e_x - e_y gives gamma <= d(x, y)^p."""
-    bound = min(echo["min_positive"] ** p, bounds_mod.upper_bound_mean(space, p))
-    if not gamma <= bound * (1.0 + CONTAINMENT_RTOL):
-        raise ToleranceFailure(
-            f"exact gamma {_fmt(gamma)} exceeds its upper bound {_fmt(bound)},"
-            f" relative slack {CONTAINMENT_RTOL:g}"
-        )
 
 
 def _render_analyze(report: dict, out) -> None:

@@ -226,9 +226,9 @@ def hat_matrix(dp: PDistanceMatrix) -> np.ndarray:
     ``certify``'s solve ran without a zero pivot, and up to three sweeps of
     ``spectral.refined_solve`` refine it. A non-finite entry raises
     ToleranceFailure, which the row-sum test (limit scaling with max|hat|)
-    would miss, and so does a NaN. The rank-one term b b^T / (b | 1) is
-    formed as b u_p^T, with no product b_i b_j to leave the float range when
-    d^p does. The result annihilates the all-ones vector.
+    would miss; a NaN row-sum residual fails that test. The rank-one term
+    b b^T / (b | 1) is formed as b u_p^T, with no product b_i b_j to leave
+    the float range when d^p does. The result annihilates the all-ones vector.
     """
     cert = dp.certificate
     if not cert.strict:

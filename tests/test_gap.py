@@ -449,7 +449,6 @@ class TestHatMatrix:
             expected = 0.5 * (expected + expected.T)
             assert np.array_equal(hat_matrix(dp), expected)
 
-
     @pytest.mark.parametrize("s", [1e-10, 1e10])
     @pytest.mark.parametrize("p", [16.0, 30.0])
     def test_rank_one_term_stays_in_the_float_range(self, s, p):
