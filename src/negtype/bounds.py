@@ -3,7 +3,8 @@
 Two distinct combinatorial coefficients share the same floor/ceiling shape
 and are easy to confuse, so both get named functions: ``gamma_discrete`` is
 the exact gap of the discrete n-point space, and ``gamma_xi`` is its
-complement to one, used by the exponent-enlargement formula.
+complement to one, used by the exponent-enlargement formula. Every bound
+that reads d^p takes the ``PDistanceMatrix`` and reads its entries.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
     TooManyPoints,
     ZeroGap,
 )
-from .metric import FiniteMetricSpace, PDistanceMatrix, space_stats
+from .metric import PDistanceMatrix, space_stats
 
 #: Row sums are considered constant when their spread is below this, relatively.
 ROW_SUM_RTOL = 1e-9
@@ -45,16 +46,16 @@ def gamma_xi(n: int) -> float:
     return 1.0 - gamma_discrete(n)
 
 
-def upper_bound_mean(space: FiniteMetricSpace, p: float) -> float:
-    """Mean off-diagonal p-distance times the discrete-space gap.
+def upper_bound_mean(dp: PDistanceMatrix) -> float:
+    """Mean off-diagonal entry of D_p times the discrete-space gap.
 
     An upper bound on the gap of any space of p-negative type; tight exactly
     on discrete spaces.
     """
-    n = space.n
+    n = dp.n
     if n < 2:
         raise TooFewPoints("the mean bound needs at least two points")
-    off = space.dist[~np.eye(n, dtype=bool)] ** p
+    off = dp.entries[~np.eye(n, dtype=bool)]
     return float(off.mean()) * gamma_discrete(n)
 
 
@@ -64,18 +65,17 @@ class DiameterBound:
     tight: bool
 
 
-def upper_bound_diameter(space: FiniteMetricSpace, p: float) -> DiameterBound:
-    """Diameter^p times the discrete-space gap, with a tightness flag.
+def upper_bound_diameter(dp: PDistanceMatrix) -> DiameterBound:
+    """Largest entry of D_p times the discrete-space gap, with a tightness flag.
 
     Tight if and only if every off-diagonal distance equals the diameter.
     """
-    n = space.n
+    n = dp.n
     if n < 2:
         raise TooFewPoints("the diameter bound needs at least two points")
-    off = space.dist[~np.eye(n, dtype=bool)]
-    diameter = float(off.max())
-    tight = bool((off == diameter).all())
-    return DiameterBound(value=diameter**p * gamma_discrete(n), tight=tight)
+    off = dp.source.dist[~np.eye(n, dtype=bool)]
+    tight = bool((off == off.max()).all())
+    return DiameterBound(value=float(dp.entries.max()) * gamma_discrete(n), tight=tight)
 
 
 @dataclass(frozen=True)
@@ -127,32 +127,32 @@ class XiResult:
     n: int
 
 
-def xi_enlargement(space: FiniteMetricSpace, p: float, gamma: float) -> XiResult:
+def xi_enlargement(dp: PDistanceMatrix, gamma: float) -> XiResult:
     """Exponent-enlargement length from the gap, the diameter, and the ratio.
 
-    xi = log(1 + gamma / (diameter**p * gamma_xi(n))) / log(ratio). The gap
-    and diameter**p share the unit d^p, so xi does not depend on the unit of
-    distance. A distance ratio of one (all distances equal) makes the
-    interval unbounded. A zero gap gives a zero-length interval; negative
-    gaps are rejected.
+    xi = log(1 + gamma / (diameter**p * gamma_xi(n))) / log(ratio), where
+    diameter**p is the largest entry of D_p. The gap and diameter**p share
+    the unit d^p, so xi does not depend on the unit of distance. A distance
+    ratio of one (all distances equal) makes the interval unbounded. A zero
+    gap gives a zero-length interval; negative gaps are rejected.
     """
-    if space.n < 3:
+    if dp.n < 3:
         raise TooFewPoints("the enlargement formula needs at least three points")
     if gamma < 0:
         raise ZeroGap(f"gap must be nonnegative, got {gamma}")
-    stats = space_stats(space)
-    g_xi = gamma_xi(space.n)
+    stats = space_stats(dp.source)
+    g_xi = gamma_xi(dp.n)
     if stats.ratio == 1.0:
         xi = inf
     else:
-        xi = log(1.0 + gamma / (stats.diameter**p * g_xi)) / log(stats.ratio)
+        xi = log(1.0 + gamma / (float(dp.entries.max()) * g_xi)) / log(stats.ratio)
     return XiResult(
         xi=xi,
         gamma_xi_n=g_xi,
         gamma=gamma,
         diameter=stats.diameter,
         ratio=stats.ratio,
-        n=space.n,
+        n=dp.n,
     )
 
 

@@ -110,8 +110,8 @@ def cmd_analyze(args) -> tuple[dict, int]:
     elif space.n <= args.cap:
         result = gap_mod.gap_exact(dp, cap=args.cap)
         if space.n >= 2:  # the definition at a = e_x - e_y gives gamma <= d(x, y)^p
-            min_power = report["input"]["min_positive"] ** args.p
-            bound = min(min_power, bounds_mod.upper_bound_mean(space, args.p))
+            min_power = float(dp.entries[dp.entries > 0].min())
+            bound = min(min_power, bounds_mod.upper_bound_mean(dp))
             if not result.gamma <= bound * (1.0 + CONTAINMENT_RTOL):
                 raise ToleranceFailure(
                     f"exact gamma {_fmt(result.gamma)} exceeds its upper bound {_fmt(bound)},"
@@ -138,7 +138,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
         }
         if cert.strict:
             sandwich = bounds_mod.spectral_bounds(dp)
-            mean_bound = bounds_mod.upper_bound_mean(space, args.p)
+            mean_bound = bounds_mod.upper_bound_mean(dp)
             gap_report.update(
                 lower=sandwich.lower,
                 upper=min(sandwich.upper, mean_bound),
@@ -152,7 +152,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
         report["gap"] = gap_report
 
     if gamma_for_xi is not None and space.n >= 3 and not isinf(gamma_for_xi):
-        xi = bounds_mod.xi_enlargement(space, args.p, gamma_for_xi)
+        xi = bounds_mod.xi_enlargement(dp, gamma_for_xi)
         report["xi"] = {"xi": xi.xi, "gamma_xi_n": xi.gamma_xi_n}
     else:
         report["xi"] = None

@@ -22,11 +22,11 @@ from .bounds import gamma_discrete
 from .errors import NegativeEntry, NotSymmetric, NotUltrametric, SinglePoint
 from .metric import (
     FiniteMetricSpace,
+    PDistanceMatrix,
     _check_exponent,
     _check_powers,
     _power,
     _spanning_tree,
-    p_distance_matrix,
 )
 from .spectral import refined_solve  # noqa: F401 (unused; bench/test_bench.py pins this tracer binding)
 
@@ -357,20 +357,20 @@ class UltrametricDiagnostics:
     bound: float
 
 
-def mp_ultrametric_properties(space: FiniteMetricSpace, p: float) -> UltrametricDiagnostics:
+def mp_ultrametric_properties(dp: PDistanceMatrix) -> UltrametricDiagnostics:
     """Check positivity of the inverse row sums and the M_p diameter bound.
 
     Both hold for every finite ultrametric space; this is a first-class
     numerical diagnostic, not only a test helper. b and M_p = 1 / (b | 1) are
-    read from the certificate; the bound is met within 1e-12 of itself.
+    read from the certificate of D_p, and diameter^p is its largest entry;
+    the bound (n - 1) / n diameter^p is met within 1e-12 of itself.
     """
-    _require_ultrametric(space)
-    if space.n < 2:
+    _require_ultrametric(dp.source)
+    if dp.n < 2:
         raise SinglePoint("diagnostics need at least two points")
-    cert = p_distance_matrix(space, p).certificate
+    cert = dp.certificate
     b, m_p = cert.b, cert.m_p
-    diameter = float(space.dist.max())
-    bound = (space.n - 1) / space.n * diameter**p
+    bound = (dp.n - 1) / dp.n * float(dp.entries.max())
     tol = 1e-12 * bound
     return UltrametricDiagnostics(
         inverse_entries_positive=bool((b > 0).all()),

@@ -120,9 +120,10 @@ def test_criterion_05_bound_chain(corpus):
     with criterion(5, 10.0, "gap <= mean bound <= diameter bound; tight iff discrete"):
         for space in corpus:
             for p in (0.5, 1.0, 2.0):
-                gamma = gap_exact(dp_of(space, p)).gamma
-                mean_bound = upper_bound_mean(space, p)
-                diam = upper_bound_diameter(space, p)
+                dp = dp_of(space, p)
+                gamma = gap_exact(dp).gamma
+                mean_bound = upper_bound_mean(dp)
+                diam = upper_bound_diameter(dp)
                 assert gamma <= mean_bound + 1e-9
                 assert mean_bound <= diam.value + 1e-9
                 off = space.dist[~np.eye(space.n, dtype=bool)]
@@ -158,7 +159,7 @@ def test_criterion_06_glue_algebra():
             assert residual <= 1e-8
 
             z = rng.standard_normal((1000, glued.n))
-            form = glued_hat_form(spec, p, z)
+            form = glued_hat_form(dp_of(spec.left, p), dp_of(spec.right, p), spec.c, z)
             scale = np.maximum(1.0, np.abs(form.direct))
             assert (np.abs(form.direct - form.decomposition) <= 1e-8 * scale).all()
 
@@ -238,7 +239,7 @@ def test_criterion_10_ultrametric_lemmas(corpus):
                 shifted = diam_p * np.ones((space.n, space.n)) - dp.entries
                 assert strictly_ultrametric_check(shifted)
                 assert (cert.b > 0).all()
-                report = mp_ultrametric_properties(space, p)
+                report = mp_ultrametric_properties(dp)
                 bound = (space.n - 1) / space.n * diam_p
                 assert cert.m_p <= bound + 1e-10
                 assert report.mp_bound_satisfied

@@ -50,33 +50,33 @@ class TestGammaDiscrete:
 class TestMeanBound:
     def test_discrete_is_tight(self):
         for n in (3, 5, 8):
-            assert upper_bound_mean(discrete_space(n), 1.0) == pytest.approx(
+            assert upper_bound_mean(dp_of(discrete_space(n))) == pytest.approx(
                 gamma_discrete(n), abs=1e-12
             )
 
     def test_example_value(self, example78):
         # off-diagonal sum of the seven-point matrix is 120 over 42 entries
-        assert upper_bound_mean(example78, 1.0) == pytest.approx(5.0 / 6.0, abs=1e-12)
+        assert upper_bound_mean(dp_of(example78)) == pytest.approx(5.0 / 6.0, abs=1e-12)
 
     def test_two_point(self):
         space = scale_space(discrete_space(2), 2.0)
-        assert upper_bound_mean(space, 1.0) == pytest.approx(2.0, abs=1e-12)
+        assert upper_bound_mean(dp_of(space)) == pytest.approx(2.0, abs=1e-12)
 
 
 class TestDiameterBound:
     def test_scaled_discrete_tight(self):
         for n, scale, p in [(4, 2.0, 1.0), (5, 1.5, 2.0)]:
-            bound = upper_bound_diameter(scale_space(discrete_space(n), scale), p)
+            bound = upper_bound_diameter(dp_of(scale_space(discrete_space(n), scale), p))
             assert bound.tight
             assert bound.value == pytest.approx(scale**p * gamma_discrete(n), rel=1e-12)
 
     def test_example_not_tight(self, example78):
-        bound = upper_bound_diameter(example78, 1.0)
+        bound = upper_bound_diameter(dp_of(example78))
         assert not bound.tight
         assert bound.value == pytest.approx(7.0 / 6.0, abs=1e-12)
 
     def test_three_point_line(self, line3):
-        bound = upper_bound_diameter(line3, 1.0)
+        bound = upper_bound_diameter(dp_of(line3))
         assert bound.value == pytest.approx(1.5, abs=1e-12)
         assert not bound.tight
 
@@ -85,14 +85,14 @@ class TestDiameterBound:
         for _ in range(20):
             n = int(rng.integers(3, 9))
             discrete = scale_space(discrete_space(n), float(rng.uniform(0.5, 2.0)))
-            assert upper_bound_diameter(discrete, 1.0).tight
-            gamma = gap_exact(dp_of(discrete)).gamma
-            assert gamma == pytest.approx(upper_bound_diameter(discrete, 1.0).value, rel=1e-12)
+            bound = upper_bound_diameter(dp_of(discrete))
+            assert bound.tight
+            assert gap_exact(dp_of(discrete)).gamma == pytest.approx(bound.value, rel=1e-12)
             # shrinking one distance strictly breaks equality
             d = discrete.dist.copy()
             d[0, 1] = d[1, 0] = d[0, 1] * 0.6
             perturbed = validate_metric(discrete.labels, d)
-            bound = upper_bound_diameter(perturbed, 1.0)
+            bound = upper_bound_diameter(dp_of(perturbed))
             assert not bound.tight
             assert gap_exact(dp_of(perturbed)).gamma < bound.value - 1e-12
 
@@ -101,9 +101,10 @@ class TestBoundChain:
     def test_gap_below_mean_below_diameter(self, corpus):
         for space in corpus[:40]:
             for p in (0.5, 1.0, 2.0):
-                gamma = gap_exact(dp_of(space, p)).gamma
-                mean_bound = upper_bound_mean(space, p)
-                diam_bound = upper_bound_diameter(space, p).value
+                dp = dp_of(space, p)
+                gamma = gap_exact(dp).gamma
+                mean_bound = upper_bound_mean(dp)
+                diam_bound = upper_bound_diameter(dp).value
                 assert gamma <= mean_bound + 1e-9
                 assert mean_bound <= diam_bound + 1e-9
 
@@ -153,35 +154,36 @@ class TestSpectralBounds:
 
 class TestXi:
     def test_zero_gap_limit(self, example78):
-        assert xi_enlargement(example78, 1.0, 0.0).xi == 0.0
+        assert xi_enlargement(dp_of(example78), 0.0).xi == 0.0
 
     def test_discrete_ratio_one_unbounded(self):
-        assert xi_enlargement(discrete_space(4), 1.0, gamma_discrete(4)).xi == inf
+        assert xi_enlargement(dp_of(discrete_space(4)), gamma_discrete(4)).xi == inf
 
     def test_three_point_line_finite_positive(self, line3):
-        gamma = gap_exact(dp_of(line3)).gamma
-        result = xi_enlargement(line3, 1.0, gamma)
+        dp = dp_of(line3)
+        result = xi_enlargement(dp, gap_exact(dp).gamma)
         assert result.gamma_xi_n == pytest.approx(0.25, abs=1e-15)
         assert 0.0 < result.xi < inf
 
     def test_independent_of_the_unit_of_distance(self, example78, line3):
         # line3 is strict exactly for exponents below 2, so at p = 1 xi is 1
         for space, p in [(line3, 1.0), (example78, 1.0), (example78, 2.0)]:
-            unit = xi_enlargement(space, p, gap_exact(dp_of(space, p)).gamma).xi
+            dp = dp_of(space, p)
+            unit = xi_enlargement(dp, gap_exact(dp).gamma).xi
             if space is line3:
                 assert unit == pytest.approx(1.0, rel=1e-12)
             for k in range(-6, 7):
-                scaled = scale_space(space, 10.0**k)
-                xi = xi_enlargement(scaled, p, gap_exact(dp_of(scaled, p)).gamma).xi
+                dp = dp_of(scale_space(space, 10.0**k), p)
+                xi = xi_enlargement(dp, gap_exact(dp).gamma).xi
                 assert xi == pytest.approx(unit, rel=1e-12, abs=0.0), (space.n, p, k)
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
-            xi_enlargement(discrete_space(2), 1.0, 1.0)
+            xi_enlargement(dp_of(discrete_space(2)), 1.0)
 
     def test_negative_gap_rejected(self, example78):
         with pytest.raises(ZeroGap):
-            xi_enlargement(example78, 1.0, -0.1)
+            xi_enlargement(dp_of(example78), -0.1)
 
 
 class TestAveragingIdentity:

@@ -240,9 +240,9 @@ def test_every_factor_belongs_to_a_certificate(call, inverses, example78, factor
     if call == "glued_inverse":
         glued_inverse(dp_of(left), dp_of(example78), spec.c)
     elif call == "glued_hat_form":
-        glued_hat_form(spec, 1.0, np.ones(10))
+        glued_hat_form(dp_of(left), dp_of(example78), spec.c, np.ones(10))
     else:
-        mp_ultrametric_properties(example78, 1.0)
+        mp_ultrametric_properties(dp_of(example78))
     assert factorization_calls["lu_factor"] > 0
     assert factorization_calls["lu_factor"] == factorization_calls["sym_eigen"]
     assert factorization_calls["inv"] == inverses
@@ -251,24 +251,21 @@ def test_every_factor_belongs_to_a_certificate(call, inverses, example78, factor
 class TestGluedHatForm:
     def test_matched_coupling_drops_cross_term(self, pair_x2):
         left, right = pair_x2
-        spec = GlueSpec(left=left, right=right, c=1.0)
         # u_p is uniform on each pair, so equal-mean halves cancel exactly
         z = np.array([1.0, -1.0, 1.0, -1.0])
-        form = glued_hat_form(spec, 1.0, z)
+        form = glued_hat_form(dp_of(left), dp_of(right), 1.0, z)
         assert form.cross_term == pytest.approx(0.0, abs=1e-12)
         assert form.direct == pytest.approx(form.decomposition, rel=1e-10)
 
     def test_alternating_signs(self, pair_x2):
         left, right = pair_x2
-        spec = GlueSpec(left=left, right=right, c=1.0)
         z = np.array([1.0, -1.0, -1.0, 1.0])
-        form = glued_hat_form(spec, 1.0, z)
+        form = glued_hat_form(dp_of(left), dp_of(right), 1.0, z)
         assert form.direct == pytest.approx(form.decomposition, rel=1e-10)
 
     def test_ones_vector_gives_zero(self, pair_x2):
         left, right = pair_x2
-        spec = GlueSpec(left=left, right=right, c=1.0)
-        form = glued_hat_form(spec, 1.0, np.ones(4))
+        form = glued_hat_form(dp_of(left), dp_of(right), 1.0, np.ones(4))
         assert abs(form.direct) <= 1e-10
         assert abs(form.decomposition) <= 1e-10
 
@@ -278,7 +275,7 @@ class TestGluedHatForm:
             n = spec.left.n + spec.right.n
             for _ in range(50):
                 z = rng.standard_normal(n)
-                form = glued_hat_form(spec, p, z)
+                form = glued_hat_form(dp_of(spec.left, p), dp_of(spec.right, p), spec.c, z)
                 scale = max(1.0, abs(form.direct))
                 assert abs(form.direct - form.decomposition) <= 1e-8 * scale
 

@@ -194,7 +194,7 @@ class TestValidateMetric:
         coteries(space)
         recursive_gap_bounds(space, 1.0)
         asymptotic_gap_limit(space)
-        mp_ultrametric_properties(space, 1.0)
+        mp_ultrametric_properties(p_distance_matrix(space, 1.0))
         assert spanning_tree_calls == [7]
 
     def test_memory_stays_quadratic(self):

@@ -406,42 +406,42 @@ class TestAsymptoticLimit:
 
 class TestDiagnostics:
     def test_example(self, example78):
-        report = mp_ultrametric_properties(example78, 1.0)
+        report = mp_ultrametric_properties(dp_of(example78))
         assert report.inverse_entries_positive
         assert report.mp_bound_satisfied
 
     def test_discrete_meets_bound_with_equality(self):
         for n in (2, 5, 9):
-            report = mp_ultrametric_properties(discrete_space(n), 1.0)
+            report = mp_ultrametric_properties(dp_of(discrete_space(n)))
             assert report.m_p == pytest.approx(report.bound, rel=1e-12)
             assert report.mp_bound_satisfied
 
     def test_two_point_squared(self):
         space = scale_space(discrete_space(2), 3.0)
-        report = mp_ultrametric_properties(space, 2.0)
+        report = mp_ultrametric_properties(dp_of(space, 2.0))
         assert report.m_p == pytest.approx(4.5, abs=1e-12)
         assert report.bound == pytest.approx(4.5, abs=1e-12)
 
     def test_not_ultrametric(self, line3):
         with pytest.raises(NotUltrametric):
-            mp_ultrametric_properties(line3, 1.0)
+            mp_ultrametric_properties(dp_of(line3))
 
     def test_bound_holds_at_every_scale(self, example78, corpus):
         # the tolerance is 1e-12 of the bound, so it carries the unit d^p
         for space in [example78, *corpus[:20]]:
             for p in (0.5, 1.0, 2.0):
                 for k in range(-12, 13):
-                    report = mp_ultrametric_properties(scale_space(space, 10.0**k), p)
+                    report = mp_ultrametric_properties(dp_of(scale_space(space, 10.0**k), p))
                     assert report.inverse_entries_positive
                     assert report.mp_bound_satisfied
 
     def test_mp_above_the_bound_fails_at_small_scale(self, example78, monkeypatch):
         space = scale_space(example78, 1e-13)
-        bound = mp_ultrametric_properties(space, 1.0).bound
+        bound = mp_ultrametric_properties(dp_of(space)).bound
         above = bound * (1.0 + 1e-9)
         real = gap.certify
         monkeypatch.setattr(gap, "certify", lambda dp: replace(real(dp), m_p=above))
-        report = mp_ultrametric_properties(space, 1.0)
+        report = mp_ultrametric_properties(dp_of(space))
         assert report.m_p == above
         assert not report.mp_bound_satisfied
 
@@ -469,7 +469,7 @@ class TestUltrametricLemmas:
     def test_mp_diameter_bound(self, corpus):
         for space in corpus[:30]:
             for p in (0.5, 1.0, 2.0):
-                report = mp_ultrametric_properties(space, p)
+                report = mp_ultrametric_properties(dp_of(space, p))
                 assert report.mp_bound_satisfied
 
 
