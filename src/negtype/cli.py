@@ -1,7 +1,7 @@
 """Command-line front end: parse files, run analyses, emit reports.
 
-stdout carries the report (human text, or JSON with ``--json``); stderr
-carries diagnostics. Exit codes: 0 success, 1 invalid input, 2 the space is
+stdout carries the report (human text, or one line of JSON with ``--json``);
+stderr carries diagnostics. Exit codes: 0 success, 1 invalid input, 2 the space is
 not of p-negative type (a witness is printed), 3 an internal tolerance
 check failed.
 """
@@ -344,7 +344,7 @@ def _bounds_report(rec: ultra_mod.RecursiveGapBounds) -> dict:
         "lower_reciprocal": rec.lower_reciprocal,
         "upper_reciprocal": rec.upper_reciprocal,
         "gamma_lower": rec.gamma_lower,
-        "gamma_upper": rec.gamma_upper,
+        "gamma_upper": None if isinf(rec.gamma_upper) else rec.gamma_upper,
         "leaves": [
             {
                 "labels": list(leaf.labels),
@@ -395,10 +395,8 @@ def _render_ultra(report: dict, out) -> None:
             f"reciprocal gap in [{_fmt(b['lower_reciprocal'])}, {_fmt(b['upper_reciprocal'])}]",
             file=out,
         )
-        print(
-            f"gamma in [{_fmt(b['gamma_lower'])}, {_fmt(b['gamma_upper'])}]",
-            file=out,
-        )
+        upper = "inf" if b["gamma_upper"] is None else _fmt(b["gamma_upper"])
+        print(f"gamma in [{_fmt(b['gamma_lower'])}, {upper}]", file=out)
         if "gamma_exact" in report:
             print(f"exact gamma: {_fmt(report['gamma_exact'])}", file=out)
     if "coteries" in report and "tree" not in report:
@@ -460,7 +458,7 @@ def main(argv: list[str] | None = None) -> int:
         report, exit_code = handler(args)
         report["timing_seconds"] = time.perf_counter() - started
         if args.json:
-            print(json.dumps(report, indent=2))
+            print(json.dumps(report))
         else:
             render(report, sys.stdout)
             print(f"timing: {report['timing_seconds']:.3f} s")

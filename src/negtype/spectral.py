@@ -60,14 +60,19 @@ def lu_factor(a: np.ndarray) -> np.ndarray:
 
     The name stays because ``bench/tracer.py`` wraps this binding to count
     solves per matrix. An exactly zero pivot or a non-finite entry in the
-    result raises ToleranceFailure.
+    result raises ToleranceFailure. The zero-pivot message gives the ratio of
+    the largest to the smallest nonzero |entry|: a matrix whose entries span
+    more than about 1e16 can lose a pivot to rounding alone.
     """
     n = a.shape[0]
     try:
         b = np.linalg.solve(a, np.ones(n))
     except np.linalg.LinAlgError as exc:
+        nonzero = np.abs(a[a != 0])
+        ratio = float(nonzero.max(initial=0.0)) / float(nonzero.min(initial=np.inf))
         raise ToleranceFailure(
-            f"LU of the {n}x{n} matrix is singular: a pivot of magnitude 0, not above limit 0"
+            f"LU of the {n}x{n} matrix is singular: a pivot of magnitude 0, not above limit 0;"
+            f" largest / smallest nonzero |entry| {ratio:.3g}"
         ) from exc
     bad = np.count_nonzero(~np.isfinite(b))
     if bad:

@@ -62,6 +62,10 @@ class TestMeanBound:
         space = scale_space(discrete_space(2), 2.0)
         assert upper_bound_mean(dp_of(space)) == pytest.approx(2.0, abs=1e-12)
 
+    def test_too_few_points(self):
+        with pytest.raises(TooFewPoints, match="the mean bound needs at least two points"):
+            upper_bound_mean(dp_of(discrete_space(1)))
+
 
 class TestDiameterBound:
     def test_scaled_discrete_tight(self):
@@ -79,6 +83,10 @@ class TestDiameterBound:
         bound = upper_bound_diameter(dp_of(line3))
         assert bound.value == pytest.approx(1.5, abs=1e-12)
         assert not bound.tight
+
+    def test_too_few_points(self):
+        with pytest.raises(TooFewPoints, match="the diameter bound needs at least two points"):
+            upper_bound_diameter(dp_of(discrete_space(1)))
 
     def test_tight_iff_discrete(self):
         rng = np.random.default_rng(2)
@@ -150,6 +158,11 @@ class TestSpectralBounds:
     def test_requires_strict(self, line3):
         with pytest.raises(NotStrict):
             spectral_bounds(dp_of(line3, 2.0))
+
+    def test_too_few_points(self):
+        # a single point is strict, so the size check is the one that fires
+        with pytest.raises(TooFewPoints, match="spectral bounds need at least two points"):
+            spectral_bounds(dp_of(discrete_space(1)))
 
 
 class TestXi:

@@ -92,6 +92,7 @@ class TestAnalyze:
 
     def test_json_round_trip_bit_for_bit(self, capsys):
         code, out, _ = run(capsys, "analyze", DATA / "example_matrix.txt", "--json")
+        assert out.count("\n") == 1 and out.endswith("}\n")  # one line of JSON
         report = json.loads(out)
         again = json.loads(json.dumps(report))
         assert again == report
@@ -135,7 +136,17 @@ class TestAnalyze:
             code, out, err = run(capsys, "analyze", path, "--p", "20")
         assert (code, out, caught) == (3, "", [])
         assert err == ("error: LU of the 20x20 matrix is singular: "
-                       "a pivot of magnitude 0, not above limit 0\n")
+                       "a pivot of magnitude 0, not above limit 0;"
+                       " largest / smallest nonzero |entry| 3.9e+17\n")
+
+    def test_zero_pivot_message_names_the_range_of_the_powers(self, capsys):
+        # a metric, not an ultrametric, so no certificate skips the LU: at
+        # p = 200 the entries of D_p span 2.6e120, far beyond float precision
+        code, out, err = run(capsys, "analyze", DATA / "example_matrix.txt", "--p", "200")
+        assert (code, out) == (3, "")
+        assert err == ("error: LU of the 7x7 matrix is singular: "
+                       "a pivot of magnitude 0, not above limit 0;"
+                       " largest / smallest nonzero |entry| 2.58e+120\n")
 
     def test_exact_gap_above_its_upper_bound_exits_three(self, capsys, tmp_path):
         # the definition at e_a - e_b bounds gamma by d(a, b)^p = 1e-308; the
@@ -287,19 +298,30 @@ class TestUltra:
         assert report["gamma_exact"] == pytest.approx(0.3870458135860979, rel=1e-12)
 
     def test_bounds_json_is_strict_json(self, capsys):
-        # a singleton leaf has no gap to report: null, not the non-JSON Infinity
+        # a singleton leaf has no gap to report, and with only singleton leaves
+        # (--full-split) the upper gap bound is unbounded: null, not Infinity
         def refuse(constant):
             raise ValueError(f"{constant} is not JSON")
 
-        singletons = 0
+        singletons = unbounded = 0
         for path in sorted(DATA.glob("*.txt")):
-            code, out, _ = run(capsys, "ultra", "bounds", path, "--json")
-            if code != 0:
-                continue
-            for leaf in json.loads(out, parse_constant=refuse)["bounds"]["leaves"]:
-                assert (leaf["gamma"] is None) is (len(leaf["labels"]) == 1)
-                singletons += leaf["gamma"] is None
+            for extra in ([], ["--full-split"]):
+                code, out, _ = run(capsys, "ultra", "bounds", path, "--json", *extra)
+                if code != 0:
+                    continue
+                bounds = json.loads(out, parse_constant=refuse)["bounds"]
+                for leaf in bounds["leaves"]:
+                    assert (leaf["gamma"] is None) is (len(leaf["labels"]) == 1)
+                    singletons += leaf["gamma"] is None
+                assert (bounds["gamma_upper"] is None) is (bounds["lower_reciprocal"] == 0.0)
+                unbounded += bounds["gamma_upper"] is None
         assert singletons > 0
+        assert unbounded > 0
+
+    def test_unbounded_gamma_prints_inf_in_text(self, capsys):
+        code, out, _ = run(capsys, "ultra", "bounds", DATA / "x4.txt", "--full-split")
+        assert code == 0
+        assert "gamma in [0.111111111111, inf]\n" in out
 
     def test_asymptotic(self, capsys):
         code, out, _ = run(capsys, "ultra", "asymptotic", DATA / "example_graph.txt", "--json")
@@ -603,6 +625,11 @@ class TestSinglePoint:
         assert code == 0
         assert err == ""
         assert json.loads(out)["gap"]["oracle_gamma"] == float("inf")
+
+    @pytest.mark.parametrize("subcommand", ["coteries", "asymptotic"])
+    def test_ultra_coteries_need_two_points(self, capsys, subcommand):
+        code, out, err = run(capsys, "ultra", subcommand, DATA / "single_point.txt")
+        assert (code, out, err) == (1, "", "error: coteries need at least two points\n")
 
 
 NO_SCIPY_SCRIPT = """

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_ultrametric
+from negtype import gap
 from negtype import (
     GlueClassification,
     GlueSpec,
@@ -84,6 +85,9 @@ class TestGlueSpaces:
     def test_bridge_too_short(self, example78):
         with pytest.raises(BridgeTooShort):
             GlueSpec(left=example78, right=relabel(discrete_space(2), "R"), c=1.0)
+        for c in (0.0, -1.0, float("nan")):
+            with pytest.raises(BridgeTooShort, match="bridge distance must be positive"):
+                GlueSpec(left=discrete_space(1), right=relabel(discrete_space(1), "R"), c=c)
 
     def test_label_collision(self):
         with pytest.raises(LabelCollision):
@@ -248,6 +252,37 @@ def test_every_factor_belongs_to_a_certificate(call, inverses, example78, factor
     assert factorization_calls["inv"] == inverses
 
 
+@pytest.mark.parametrize(
+    "call, sizes",
+    [
+        pytest.param("glued_inverse", [], id="glued_inverse"),
+        pytest.param("glued_hat_form", [5], id="glued_hat_form"),
+        pytest.param("glue_type_condition", [3, 2], id="glue_type_condition"),
+        pytest.param("glue_gap_bounds", [3, 2, 3, 2], id="glue_gap_bounds"),
+    ],
+)
+def test_certify_calls_per_glue_function(monkeypatch, call, sizes):
+    # the component matrices are certified before counting starts: the
+    # functions that take them read their certificates, and only a new
+    # matrix is certified; the ones that take a GlueSpec build their own
+    # (bench/test_bench.py pins the 9 calls of the glue command)
+    left, right = relabel(discrete_space(3), "L"), relabel(discrete_space(2), "R")
+    dp1, dp2 = dp_of(left), dp_of(right)
+    assert dp1.certificate.strict and dp2.certificate.strict
+    real, seen = gap.certify, []
+    monkeypatch.setattr(gap, "certify", lambda dp: seen.append(dp.n) or real(dp))
+    spec = GlueSpec(left=left, right=right, c=1.0)
+    if call == "glued_inverse":
+        glued_inverse(dp1, dp2, 1.0)
+    elif call == "glued_hat_form":
+        glued_hat_form(dp1, dp2, 1.0, np.ones(5))
+    elif call == "glue_type_condition":
+        glue_type_condition(spec, 1.0)
+    else:
+        glue_gap_bounds(spec, 1.0, 1.0, 1.0)
+    assert seen == sizes
+
+
 class TestGluedHatForm:
     def test_matched_coupling_drops_cross_term(self, pair_x2):
         left, right = pair_x2
@@ -268,6 +303,12 @@ class TestGluedHatForm:
         form = glued_hat_form(dp_of(left), dp_of(right), 1.0, np.ones(4))
         assert abs(form.direct) <= 1e-10
         assert abs(form.decomposition) <= 1e-10
+
+    def test_wrong_length_rejected(self, pair_x2):
+        left, right = pair_x2
+        for z in (np.ones(3), np.ones((2, 5))):
+            with pytest.raises(ValueError, match="expected vectors of length 4"):
+                glued_hat_form(dp_of(left), dp_of(right), 1.0, z)
 
     def test_random_vectors_agree(self):
         rng = np.random.default_rng(43)

@@ -268,6 +268,13 @@ class TestDiscreteAndScale:
     def test_nonpositive_scale(self, example78):
         with pytest.raises(NonpositiveScale):
             scale_space(example78, -1.0)
+        for scale in (0.0, -1.0, float("nan")):
+            with pytest.raises(NonpositiveScale, match="scale must be positive"):
+                discrete_space(3, scale)
+
+    def test_discrete_needs_a_point(self):
+        with pytest.raises(ValueError, match="need at least one point, got 0"):
+            discrete_space(0)
 
     def test_scale_then_power_within_four_ulp(self, example78):
         for alpha, p in [(2.0, 1.5), (0.3, 0.5), (7.0, 2.0)]:
@@ -399,6 +406,8 @@ class TestMinimaxGraph:
     def test_single_vertex(self):
         space = ultrametric_from_graph(build_graph([], vertices=["solo"]))
         assert space.n == 1 and space.dist[0, 0] == 0.0
+        with pytest.raises(ValueError, match="graph has no vertices"):
+            build_graph([])
 
     def test_self_check_states_excess_and_limit(self, monkeypatch):
         real = metric.validate_metric

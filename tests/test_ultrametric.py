@@ -37,7 +37,13 @@ from negtype import (
     validate_metric,
 )
 from negtype import gap
-from negtype.errors import NegativeEntry, NonpositiveExponent, NotSymmetric, NotUltrametric
+from negtype.errors import (
+    NegativeEntry,
+    NonpositiveExponent,
+    NotSymmetric,
+    NotUltrametric,
+    SinglePoint,
+)
 from negtype.metric import _spanning_tree
 
 
@@ -76,6 +82,11 @@ class TestStrictlyUltrametricCheck:
     def test_negative_entry(self):
         with pytest.raises(NegativeEntry):
             strictly_ultrametric_check([[1.0, -0.1], [-0.1, 1.0]])
+
+    def test_not_square(self):
+        for a in (np.ones((2, 3)), np.ones(3)):
+            with pytest.raises(ValueError, match="expected a square matrix"):
+                strictly_ultrametric_check(a)
 
     def test_matches_detour_oracle(self, corpus):
         rng = np.random.default_rng(9)
@@ -425,6 +436,10 @@ class TestDiagnostics:
     def test_not_ultrametric(self, line3):
         with pytest.raises(NotUltrametric):
             mp_ultrametric_properties(dp_of(line3))
+
+    def test_single_point(self):
+        with pytest.raises(SinglePoint, match="diagnostics need at least two points"):
+            mp_ultrametric_properties(dp_of(discrete_space(1)))
 
     def test_bound_holds_at_every_scale(self, example78, corpus):
         # the tolerance is 1e-12 of the bound, so it carries the unit d^p
