@@ -1,9 +1,9 @@
 """Command-line front end: parse files, run analyses, emit reports.
 
 stdout carries the report (human text, or one line of JSON with ``--json``);
-stderr carries diagnostics. Exit codes: 0 success, 1 invalid input, 2 the space is
-not of p-negative type (a witness is printed), 3 an internal tolerance
-check failed.
+stderr carries diagnostics. Exit codes: 0 success, 1 invalid input, 2 the
+space is not of p-negative type (a witness is printed), 3 an internal
+tolerance check failed.
 """
 
 from __future__ import annotations

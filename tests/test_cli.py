@@ -140,8 +140,8 @@ class TestAnalyze:
                        " largest / smallest nonzero |entry| 3.9e+17\n")
 
     def test_zero_pivot_message_names_the_range_of_the_powers(self, capsys):
-        # a metric, not an ultrametric, so no certificate skips the LU: at
-        # p = 200 the entries of D_p span 2.6e120, far beyond float precision
+        # at p = 200 the entries of D_p span 4^200 = 2.6e120, far beyond what
+        # float64 resolves, and the LU of D_p meets an exactly zero pivot
         code, out, err = run(capsys, "analyze", DATA / "example_matrix.txt", "--p", "200")
         assert (code, out) == (3, "")
         assert err == ("error: LU of the 7x7 matrix is singular: "
