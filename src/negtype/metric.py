@@ -9,7 +9,8 @@ Ultrametric structure comes from one O(n^2) minimum spanning tree pass,
 ``_spanning_tree``: the strong-triangle test and the graph minimax distances
 read its subdominant ultrametric, and the decomposition and the coteries in
 ``negtype.ultrametric`` read its edges. Each space runs that pass at most
-once and caches the result.
+once and caches the result; a space built from a graph keeps the tree of the
+pass that computed its minimax distances, and runs none of its own.
 
 Validation costs O(n^2) when d is within ``METRIC_RTOL * diameter`` of its
 subdominant ultrametric, and O(n^3) otherwise. The subdominant only copies
@@ -36,7 +37,6 @@ from .errors import (
     NonzeroDiagonal,
     ParseError,
     SinglePoint,
-    ToleranceFailure,
     TriangleViolation,
 )
 
@@ -297,25 +297,12 @@ def build_graph(
     """Assemble a weighted graph; vertices default to first-appearance order.
     Endpoints become strings and weights floats; ``WeightedGraph`` checks
     the edges."""
-    edge_list: list[tuple[str, str, float]] = []
-    seen: dict[str, int] = {}
-    order: list[str] = []
-    if vertices is not None:
-        for v in vertices:
-            v = str(v)
-            if v not in seen:
-                seen[v] = len(order)
-                order.append(v)
-    for u, v, w in edges:
-        u, v, w = str(u), str(v), float(w)
-        for x in (u, v):
-            if x not in seen:
-                seen[x] = len(order)
-                order.append(x)
-        edge_list.append((u, v, w))
+    edge_list = [(str(u), str(v), float(w)) for u, v, w in edges]
+    given = [] if vertices is None else [str(v) for v in vertices]
+    order = tuple(dict.fromkeys(given + [x for u, v, _ in edge_list for x in (u, v)]))
     if not order:
         raise ValueError("graph has no vertices")
-    return WeightedGraph(tuple(order), tuple(edge_list))
+    return WeightedGraph(order, tuple(edge_list))
 
 
 def ultrametric_from_graph(graph: WeightedGraph) -> FiniteMetricSpace:
@@ -323,8 +310,10 @@ def ultrametric_from_graph(graph: WeightedGraph) -> FiniteMetricSpace:
 
     d(u, v) is the minimum over all walks joining u and v of the largest edge
     weight on the walk: the subdominant ultrametric of the matrix of lightest
-    edge weights, read along its minimum spanning tree. Raises ``ValueError``
-    for a graph without vertices or an edge whose endpoint is not a vertex,
+    edge weights, read along its minimum spanning tree. The space keeps that
+    tree, so the one spanning tree pass of the graph is the only one the
+    space runs. Raises ``ValueError`` for a graph without vertices or an edge
+    whose endpoint is not a vertex, ``LabelCollision`` for a repeated vertex,
     and ``DisconnectedGraph`` when the spanning tree pass cannot reach every
     vertex.
     """
@@ -339,13 +328,19 @@ def ultrametric_from_graph(graph: WeightedGraph) -> FiniteMetricSpace:
             w[i, j] = w[j, i] = min(weight, w[i, j])
     except KeyError as exc:
         raise ValueError(f"edge endpoint {exc.args[0]!r} is not a graph vertex") from None
-    space = validate_metric(graph.vertices, _spanning_tree(w)[1])
-    _, excess, limit = space._ultrametric
-    if excess > limit:
-        raise ToleranceFailure(
-            f"minimax distances exceed their subdominant ultrametric by {excess:.3g},"
-            f" limit {limit:.3g}"
-        )
+    labels = tuple(str(v) for v in graph.vertices)
+    if len(set(labels)) != n:
+        raise LabelCollision("duplicate point labels")
+    edges, sub = _spanning_tree(w)
+    # validate_metric would find nothing here, and the space's spanning tree
+    # cache is known exactly. sub is exactly symmetric with a zero diagonal;
+    # off the diagonal it copies weights, which are positive (WeightedGraph)
+    # and finite (inf means no edge, and the pass raised DisconnectedGraph
+    # unless it reached every vertex). sub is an ultrametric, and the pass only
+    # copies and takes maxima, so sub is its own subdominant ultrametric with
+    # an excess of exactly 0, and a minimum spanning tree of w is also one of sub.
+    space = FiniteMetricSpace(labels=labels, dist=_freeze(sub), n=n)
+    space.__dict__["_ultrametric"] = (edges, 0.0, METRIC_RTOL * float(sub.max()))
     return space
 
 
@@ -360,16 +355,13 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def _parse_row(tokens: list[str]) -> np.ndarray:
-    """The tokens as float64. When at most half of them are distinct, as in
-    the rows of an ultrametric, each distinct token is converted once."""
-    distinct = set(tokens)
-    if 2 * len(distinct) <= len(tokens):
-        values = {tok: float(tok) for tok in distinct}
-        converted = map(values.__getitem__, tokens)
-    else:
-        converted = map(float, tokens)
-    return np.fromiter(converted, np.float64, len(tokens))
+class _TokenFloats(dict):
+    """Each token converted by ``float`` on first use and stored, so that a
+    file converts each distinct token once."""
+
+    def __missing__(self, token: str) -> float:
+        value = self[token] = float(token)
+        return value
 
 
 def parse_matrix_text(text: str) -> tuple[list[str], np.ndarray]:
@@ -377,12 +369,16 @@ def parse_matrix_text(text: str) -> tuple[list[str], np.ndarray]:
 
     An optional ``labels: a b c ...`` line may precede or follow the count
     line; then come ``n`` whitespace-separated rows. ``#`` starts a comment.
-    Rows are stacked only once all are read, so a huge count fails on the
-    first short row instead of allocating the matrix.
+    Each distinct token of the file is converted by ``float`` once: a
+    symmetric matrix holds each off-diagonal value twice, and an ultrametric
+    row repeats its few heights. Rows are stacked only once all are read, so
+    a huge count fails on the first short row instead of allocating the
+    matrix.
     """
     labels: list[str] | None = None
     n: int | None = None
     rows: list[np.ndarray] = []
+    convert = _TokenFloats().__getitem__
     for lineno, line in _content_lines(text):
         if line.startswith("labels:"):
             if labels is not None:
@@ -397,8 +393,9 @@ def parse_matrix_text(text: str) -> tuple[list[str], np.ndarray]:
             if n < 1:
                 raise ParseError(lineno, "point count must be at least 1")
             continue
+        tokens = line.split()
         try:
-            row = _parse_row(line.split())
+            row = np.fromiter(map(convert, tokens), np.float64, len(tokens))
         except ValueError:
             raise ParseError(lineno, f"bad matrix row: {line!r}") from None
         if len(row) != n:

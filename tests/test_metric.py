@@ -54,7 +54,6 @@ from negtype.errors import (
     NonzeroDiagonal,
     ParseError,
     SinglePoint,
-    ToleranceFailure,
     TriangleViolation,
 )
 
@@ -382,6 +381,8 @@ class TestMinimaxGraph:
             pytest.param(("a", "b"), (("a", "b", 1.0), ("b", "x", 1.0)), ValueError,
                          "edge endpoint 'x' is not a graph vertex", id="unknown-endpoint"),
             pytest.param((), (), ValueError, "graph has no vertices", id="no-vertices"),
+            pytest.param(("a", "b", "a"), (("a", "b", 1.0),), LabelCollision,
+                         "duplicate point labels", id="repeated-vertex"),
             *(pytest.param(("a", "b", "c"), (("a", "b", w), ("b", "c", 1.0)), ValueError,
                            rf"edge \(a, b\) has nonpositive weight {w}", id=f"weight-{w}")
               for w in (0.0, -1.0, float("nan"))),
@@ -409,18 +410,36 @@ class TestMinimaxGraph:
         with pytest.raises(ValueError, match="graph has no vertices"):
             build_graph([])
 
-    def test_self_check_states_excess_and_limit(self, monkeypatch):
-        real = metric.validate_metric
+    def test_given_vertices_come_first_then_endpoints_by_first_appearance(self):
+        edges = [("d", "a", 1), ("b", "d", 2.5), ("e", "a", 3)]
+        for vertices in (["b", "c", "b"], np.array(["b", "c", "b"])):
+            graph = build_graph(edges, vertices=vertices)
+            assert graph.vertices == ("b", "c", "d", "a", "e")
+            assert graph.edges == (("d", "a", 1.0), ("b", "d", 2.5), ("e", "a", 3.0))
 
-        def skewed(labels, d):
-            d = d.copy()
-            d[0, 2] = d[2, 0] = 1.5
-            return real(labels, d)
+    def test_one_spanning_tree_pass_per_graph(self, spanning_tree_calls):
+        space = ultrametric_from_graph(build_graph(EXAMPLE_EDGES))
+        assert is_ultrametric(space)
+        decompose(space)
+        coteries(space)
+        recursive_gap_bounds(space, 1.0)
+        assert spanning_tree_calls == [7]
 
-        monkeypatch.setattr(metric, "validate_metric", skewed)
-        graph = build_graph([("a", "b", 1.0), ("b", "c", 1.0)])
-        with pytest.raises(ToleranceFailure, match=r"by 0\.5, limit 1\.5e-09"):
-            ultrametric_from_graph(graph)
+    def test_graph_space_agrees_with_its_validated_matrix(self):
+        # the graph-built space keeps the tree of the minimax pass; the same
+        # matrix validated from scratch runs its own pass and must agree
+        rng = np.random.default_rng(20)
+        for k in range(80):
+            edges = random_connected_graph(rng, int(rng.integers(2, 30)))
+            if k % 2:  # integer weights: many equal heights
+                edges = [(u, v, float(np.ceil(w))) for u, v, w in edges]
+            space = ultrametric_from_graph(build_graph(edges))
+            fresh = validate_metric(space.labels, space.dist)
+            assert is_ultrametric(fresh)
+            for full_split in (False, True):
+                assert decompose(space, full_split) == decompose(fresh, full_split)
+            assert coteries(space) == coteries(fresh)
+            assert recursive_gap_bounds(space, 1.0) == recursive_gap_bounds(fresh, 1.0)
 
     @settings(deadline=None, max_examples=40, derandomize=True)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 12))
@@ -428,7 +447,7 @@ class TestMinimaxGraph:
         rng = np.random.default_rng(seed)
         edges = random_connected_graph(rng, n)
         space = ultrametric_from_graph(build_graph(edges))
-        assert is_ultrametric(space)
+        assert brute_is_ultrametric(space)  # not is_ultrametric: it reads the pass's own tree
 
     @settings(deadline=None, max_examples=40, derandomize=True)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 10))
@@ -530,26 +549,21 @@ class TestParsers:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_ultrametric_rows_convert_each_distinct_token_once(self, float_calls):
-        d = random_dendrogram(np.random.default_rng(3), 40)
-        text = "40\n" + "".join(" ".join(map(repr, row)) + "\n" for row in d.tolist())
-        rows = [line.split() for line in text.splitlines()[1:]]
-        assert all(2 * len(set(row)) <= len(row) for row in rows)
-        labels, matrix = parse_matrix_text(text)
-        assert sorted(float_calls) == sorted(tok for row in rows for tok in set(row))
-        assert matrix.tobytes() == brute_parse_matrix_text(text)[1].tobytes()
-
     @pytest.mark.parametrize(
-        "row, converted",
+        "matrix",
         [
-            pytest.param("1 1 2 2", ["1", "2"], id="half-distinct"),
-            pytest.param("1 1 2 3", ["1", "1", "2", "3"], id="over-half-distinct"),
+            pytest.param(random_dendrogram(np.random.default_rng(3), 40), id="dendrogram"),
+            pytest.param(random_euclidean(np.random.default_rng(3), 20).dist, id="euclidean"),
+            pytest.param([["1", "1", "2", "3"]] * 4, id="repeats-across-rows"),
         ],
     )
-    def test_rows_on_both_sides_of_one_half(self, float_calls, row, converted):
-        labels, matrix = parse_matrix_text("4\n" + (row + "\n") * 4)
-        assert sorted(float_calls) == sorted(converted * 4)
-        assert matrix.tolist() == [[float(t) for t in row.split()]] * 4
+    def test_each_distinct_token_of_a_file_is_converted_once(self, float_calls, matrix):
+        rows = [" ".join(map(str, row)) for row in np.asarray(matrix).tolist()]
+        text = f"{len(rows)}\n" + "".join(row + "\n" for row in rows)
+        labels, parsed = parse_matrix_text(text)
+        distinct = {tok for row in rows for tok in row.split()}
+        assert sorted(float_calls) == sorted(distinct)
+        assert parsed.tobytes() == brute_parse_matrix_text(text)[1].tobytes()
 
     @settings(deadline=None, max_examples=300, derandomize=True)
     @given(text=matrix_texts())
