@@ -63,6 +63,16 @@ def _load_ultra_space(path: str) -> FiniteMetricSpace:
     return ultrametric_from_graph(parse_edge_list_text(text))
 
 
+def _finite_or_null(x: float) -> float | None:
+    """``x``, or None (JSON null) where it is infinite: JSON has no infinity."""
+    return None if isinf(x) else x
+
+
+def _fmt_or_inf(x: float | None) -> str:
+    """The text form of a report value that ``_finite_or_null`` wrote."""
+    return "inf" if x is None else _fmt(x)
+
+
 def _space_echo(space: FiniteMetricSpace) -> dict:
     echo = {"n": space.n, "labels": list(space.labels)}
     if space.n >= 2:
@@ -119,15 +129,15 @@ def cmd_analyze(args) -> tuple[dict, int]:
                 )
         gap_report = {
             "mode": "exact",
-            "gamma": result.gamma,
-            "beta": result.beta,
+            "gamma": _finite_or_null(result.gamma),
+            "beta": _finite_or_null(result.beta),
             "method": result.method.value,
         }
         if result.z_star is not None:
             gap_report["z_star"] = [int(v) for v in result.z_star]
         if args.oracle and cert.strict:
             oracle = gap_mod.gap_numeric_oracle(dp, seed=args.seed)
-            gap_report["oracle_gamma"] = oracle.gamma
+            gap_report["oracle_gamma"] = _finite_or_null(oracle.gamma)
             gap_report["oracle_restarts"] = oracle.restarts
         report["gap"] = gap_report
         gamma_for_xi = result.gamma
@@ -153,7 +163,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
 
     if gamma_for_xi is not None and space.n >= 3 and not isinf(gamma_for_xi):
         xi = bounds_mod.xi_enlargement(dp, gamma_for_xi)
-        report["xi"] = {"xi": xi.xi, "gamma_xi_n": xi.gamma_xi_n}
+        report["xi"] = {"xi": _finite_or_null(xi.xi), "gamma_xi_n": xi.gamma_xi_n}
     else:
         report["xi"] = None
     return report, exit_code
@@ -194,8 +204,8 @@ def _render_analyze(report: dict, out) -> None:
             )
     elif gap_report["mode"] == "exact":
         print(
-            f"gap (exact, {gap_report['method']}): gamma = {_fmt(gap_report['gamma'])}"
-            f"  beta = {_fmt(gap_report['beta'])}",
+            f"gap (exact, {gap_report['method']}): gamma = {_fmt_or_inf(gap_report['gamma'])}"
+            f"  beta = {_fmt_or_inf(gap_report['beta'])}",
             file=out,
         )
         if "z_star" in gap_report:
@@ -203,7 +213,7 @@ def _render_analyze(report: dict, out) -> None:
             print(f"maximizing signs: {signs}", file=out)
         if "oracle_gamma" in gap_report:
             print(
-                f"oracle cross-check: {_fmt(gap_report['oracle_gamma'])}"
+                f"oracle cross-check: {_fmt_or_inf(gap_report['oracle_gamma'])}"
                 f" ({gap_report['oracle_restarts']} restarts)",
                 file=out,
             )
@@ -215,7 +225,7 @@ def _render_analyze(report: dict, out) -> None:
         )
     xi = report.get("xi")
     if xi is not None:
-        print(f"exponent enlargement xi = {_fmt(xi['xi'])}", file=out)
+        print(f"exponent enlargement xi = {_fmt_or_inf(xi['xi'])}", file=out)
 
 
 def cmd_glue(args) -> tuple[dict, int]:
@@ -248,12 +258,12 @@ def cmd_glue(args) -> tuple[dict, int]:
         gap_bounds = glue_mod.glue_gap_bounds(spec, args.p, gamma_left, gamma_right)
         report["bounds"] = {
             "lower": gap_bounds.lower,
-            "upper": gap_bounds.upper,
+            "upper": _finite_or_null(gap_bounds.upper),
             "alpha": gap_bounds.alpha,
             "out_of_hypothesis": gap_bounds.out_of_hypothesis,
         }
-        report["gamma_left"] = gamma_left
-        report["gamma_right"] = gamma_right
+        report["gamma_left"] = _finite_or_null(gamma_left)
+        report["gamma_right"] = _finite_or_null(gamma_right)
     elif condition.classification is glue_mod.GlueClassification.NOT_NEGATIVE_TYPE:
         exit_code = EXIT_NOT_NEGATIVE_TYPE
 
@@ -284,7 +294,7 @@ def _render_glue(report: dict, out) -> None:
         b = report["bounds"]
         note = "  [outside the two-point hypothesis]" if b["out_of_hypothesis"] else ""
         print(
-            f"gap bounds: [{_fmt(b['lower'])}, {_fmt(b['upper'])}]"
+            f"gap bounds: [{_fmt(b['lower'])}, {_fmt_or_inf(b['upper'])}]"
             f"  alpha = {_fmt(b['alpha'])}{note}",
             file=out,
         )
@@ -344,12 +354,12 @@ def _bounds_report(rec: ultra_mod.RecursiveGapBounds) -> dict:
         "lower_reciprocal": rec.lower_reciprocal,
         "upper_reciprocal": rec.upper_reciprocal,
         "gamma_lower": rec.gamma_lower,
-        "gamma_upper": None if isinf(rec.gamma_upper) else rec.gamma_upper,
+        "gamma_upper": _finite_or_null(rec.gamma_upper),
         "leaves": [
             {
                 "labels": list(leaf.labels),
                 "distance": leaf.distance,
-                "gamma": leaf.gamma if leaf.size > 1 else None,  # JSON has no infinity
+                "gamma": _finite_or_null(leaf.gamma),
                 "reciprocal": leaf.reciprocal,
             }
             for leaf in rec.leaves
@@ -395,8 +405,7 @@ def _render_ultra(report: dict, out) -> None:
             f"reciprocal gap in [{_fmt(b['lower_reciprocal'])}, {_fmt(b['upper_reciprocal'])}]",
             file=out,
         )
-        upper = "inf" if b["gamma_upper"] is None else _fmt(b["gamma_upper"])
-        print(f"gamma in [{_fmt(b['gamma_lower'])}, {upper}]", file=out)
+        print(f"gamma in [{_fmt(b['gamma_lower'])}, {_fmt_or_inf(b['gamma_upper'])}]", file=out)
         if "gamma_exact" in report:
             print(f"exact gamma: {_fmt(report['gamma_exact'])}", file=out)
     if "coteries" in report and "tree" not in report:

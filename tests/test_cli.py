@@ -297,27 +297,6 @@ class TestUltra:
         assert report["bounds"]["upper_reciprocal"] == pytest.approx(8.25, abs=1e-12)
         assert report["gamma_exact"] == pytest.approx(0.3870458135860979, rel=1e-12)
 
-    def test_bounds_json_is_strict_json(self, capsys):
-        # a singleton leaf has no gap to report, and with only singleton leaves
-        # (--full-split) the upper gap bound is unbounded: null, not Infinity
-        def refuse(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        singletons = unbounded = 0
-        for path in sorted(DATA.glob("*.txt")):
-            for extra in ([], ["--full-split"]):
-                code, out, _ = run(capsys, "ultra", "bounds", path, "--json", *extra)
-                if code != 0:
-                    continue
-                bounds = json.loads(out, parse_constant=refuse)["bounds"]
-                for leaf in bounds["leaves"]:
-                    assert (leaf["gamma"] is None) is (len(leaf["labels"]) == 1)
-                    singletons += leaf["gamma"] is None
-                assert (bounds["gamma_upper"] is None) is (bounds["lower_reciprocal"] == 0.0)
-                unbounded += bounds["gamma_upper"] is None
-        assert singletons > 0
-        assert unbounded > 0
-
     def test_unbounded_gamma_prints_inf_in_text(self, capsys):
         code, out, _ = run(capsys, "ultra", "bounds", DATA / "x4.txt", "--full-split")
         assert code == 0
@@ -611,20 +590,72 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert parsers[0].format_help() == _build_parser.__wrapped__().format_help()
 
 
+def _refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def _null_paths(report, path=""):
+    """The dotted paths of the nulls in a report; list items are not named."""
+    if isinstance(report, dict):
+        for key, value in report.items():
+            yield from _null_paths(value, f"{path}.{key}" if path else key)
+    elif isinstance(report, list):
+        for item in report:
+            yield from _null_paths(item, path)
+    elif report is None:
+        yield path
+
+
+def test_every_json_report_is_strict_json(capsys, tmp_path):
+    # an infinite value is written as null; the text reports keep "inf"
+    files = sorted(DATA.glob("*.txt"))
+    other_point = tmp_path / "other_point.txt"
+    other_point.write_text("labels: lone\n1\n0\n", encoding="utf-8")
+    commands = [["analyze", f, "--p", p, *extra]
+                for f in files for p in ("1", "2") for extra in ([], ["--oracle"])]
+    commands += [["ultra", sub, f, *extra] for f in files
+                 for sub in ("decompose", "bounds", "coteries", "asymptotic")
+                 for extra in ([], ["--full-split"])]
+    commands += [["glue", a, b, "--c", "5"] for a in files for b in files]
+    commands += [["glue", DATA / "single_point.txt", other_point, "--c", "5"]]
+    nulls = set()
+    for command in commands:
+        code, out, _ = run(capsys, *command, "--json")
+        if not out:
+            continue
+        # certificate.m_p stays Infinity: bench/reference.json freezes it for
+        # analyze line3 --p 3, so it changes with the benchmark's reference
+        report = json.loads(out.replace('"m_p": Infinity', '"m_p": null'), parse_constant=_refuse)
+        nulls.update(_null_paths(report))
+        if "leaves" in report.get("bounds", {}):
+            bounds = report["bounds"]
+            for leaf in bounds["leaves"]:
+                assert (leaf["gamma"] is None) is (len(leaf["labels"]) == 1)
+            assert (bounds["gamma_upper"] is None) is (bounds["lower_reciprocal"] == 0.0)
+    assert {
+        "gap.gamma", "gap.oracle_gamma", "gap.beta", "xi.xi", "gamma_left", "gamma_right",
+        "bounds.upper", "bounds.gamma_upper", "bounds.leaves.gamma",
+    } <= nulls
+
+
 class TestSinglePoint:
     def test_analyze_single_point(self, capsys):
         code, out, _ = run(capsys, "analyze", DATA / "single_point.txt", "--json")
         assert code == 0
         report = json.loads(out)
         assert report["certificate"]["classification"] == "StrictNegativeType"
-        assert report["gap"]["gamma"] == float("inf")
+        assert report["gap"]["gamma"] is None  # infinite: JSON null, and inf in the text
         assert report["gap"]["method"] == "SinglePoint"
+        code, out, _ = run(capsys, "analyze", DATA / "single_point.txt")
+        assert "gap (exact, SinglePoint): gamma = inf  beta = 0\n" in out
 
     def test_oracle_single_point_is_infinite(self, capsys):
         code, out, err = run(capsys, "analyze", DATA / "single_point.txt", "--json", "--oracle")
         assert code == 0
         assert err == ""
-        assert json.loads(out)["gap"]["oracle_gamma"] == float("inf")
+        assert json.loads(out)["gap"]["oracle_gamma"] is None
+        code, out, err = run(capsys, "analyze", DATA / "single_point.txt", "--oracle")
+        assert "oracle cross-check: inf (" in out
 
     @pytest.mark.parametrize("subcommand", ["coteries", "asymptotic"])
     def test_ultra_coteries_need_two_points(self, capsys, subcommand):
