@@ -291,11 +291,11 @@ def _sign_maximum(
     X = 2 zA hat_AB zB. No value in row (i, alpha) exceeds
     bound[i, alpha] = P[i, alpha] + max R[i] + max X[alpha]. The pair with the
     largest bound seeds the best value. High rows are then visited in
-    descending order of their largest bound, the top row alone and the rest in
-    blocks of at most ``block_entries`` values. A block evaluates only the
-    pairs whose bound is at least best - 2 tol (or all of its rows, when more
-    than half of the pairs are), and the visit stops at the first row whose
-    bound is below that.
+    descending order of their largest bound, in blocks of at most
+    ``block_entries`` values. A block evaluates only the pairs whose bound is
+    at least best - 2 tol (or all of its rows, when more than half of the
+    pairs are), and the visit stops at the first row whose bound is below
+    that.
     """
     n = hat.shape[0]
     tol = 4.0 * n * np.finfo(np.float64).eps * float(np.abs(hat).sum())
@@ -332,7 +332,7 @@ def _sign_maximum(
     # is live in its row, whose block evaluates (and counts) it again
     i, alpha = np.unravel_index(int(bound.argmax()), bound.shape)
     best, found, evaluated = float((p[i, alpha] + r[i] + x[alpha]).max()), [], 0
-    start, stop = 0, 1  # the top row alone first, so that its best prunes the others
+    start, stop = 0, rows_per_block
     while start < len(order) and row_bound[order[start]] >= best - 2.0 * tol:
         rows = np.sort(order[start:stop])  # ascending k within the block
         live = bound[rows] >= best - 2.0 * tol

@@ -5,6 +5,8 @@ c with 2c at least the larger diameter. Its hat form splits into the component
 hat forms plus a coupling square over the margin 2c^p - M_p(left) - M_p(right),
 its gap is sandwiched by the harmonic combination of the component gaps, and
 the inverse of its p-distance matrix is read from the component certificates.
+``_bridge`` holds the one merge rule, from the two components' M_p to the
+union's; ``negtype.ultrametric`` applies it at every split of its tree.
 """
 
 from __future__ import annotations
@@ -97,6 +99,14 @@ def glue_spaces(spec: GlueSpec) -> FiniteMetricSpace:
     return validate_metric(spec.left.labels + spec.right.labels, d)
 
 
+def _bridge(m_left: float, m_right: float, c_p: float) -> tuple[float, float, float]:
+    """The bridged union's margin 2c^p - M_L - M_R, the weight t = (c^p - M_R) /
+    margin of its left part, and its M_p = c^p - (c^p - M_L) t (``glued_inverse``)."""
+    margin = 2.0 * c_p - m_left - m_right
+    t = (c_p - m_right) / margin
+    return margin, t, c_p - (c_p - m_left) * t
+
+
 def _classify(dp1: PDistanceMatrix, dp2: PDistanceMatrix, c: float) -> GlueTypeResult:
     """``glue_type_condition`` from the certificates the component matrices
     hold. Checks that the exponents agree, then strictness, then 2c^p."""
@@ -152,18 +162,16 @@ def glued_inverse(dp1: PDistanceMatrix, dp2: PDistanceMatrix, c: float) -> np.nd
     u_p u_p^T / M_p - hat. The glued hat is hat_L (+) hat_R + w w^T / margin
     with w = (u_L, -u_R) (see ``glued_hat_form``). With t = (c^p - M_R) / margin,
     u_p = (t u_L, (1 - t) u_R) sums to one and D_p u_p = M_p 1 for
-    M_p = t M_L + (1 - t) c^p = c^p - (c^p - M_L) t, formed with no c^2p to
-    leave the float range. A single point has hat 0, u_p = (1) and M_p = 0,
+    M_p = t M_L + (1 - t) c^p = c^p - (c^p - M_L) t, formed by ``_bridge`` with
+    no c^2p to leave the float range. A single point has hat 0, u_p = (1) and M_p = 0,
     so one expression covers every size. The exponent is the components'
     own, which must agree. The certificates are the ones the matrices hold.
     """
     GlueSpec(left=dp1.source, right=dp2.source, c=c)  # checks c and the labels
-    margin = _strict_margin(_classify(dp1, dp2, c))
+    _strict_margin(_classify(dp1, dp2, c))
     cert1, cert2 = dp1.certificate, dp2.certificate
-    c_p = c**dp1.p  # finite: the margin check bounded 2c^p
-    t = (c_p - cert2.m_p) / margin
+    margin, t, m_p = _bridge(cert1.m_p, cert2.m_p, c**dp1.p)  # _classify bounded 2c^p
     u = np.concatenate([t * cert1.u_p, (1.0 - t) * cert2.u_p])
-    m_p = c_p - (c_p - cert1.m_p) * t
     w = np.concatenate([cert1.u_p, -cert2.u_p])
     hat = np.outer(w, w) / margin
     hat[: dp1.n, : dp1.n] += gap_mod.hat_matrix(dp1)
@@ -220,8 +228,7 @@ def glue_gap_bounds(
         for side in (spec.left, spec.right)
     )
     alpha = 0.5 * (u1_norm + u2_norm) ** 2 / margin
-    r1 = 0.0 if gamma_left == inf else 1.0 / gamma_left
-    r2 = 0.0 if gamma_right == inf else 1.0 / gamma_right
+    r1, r2 = 1.0 / gamma_left, 1.0 / gamma_right  # 1 / inf is 0.0
     lower = 1.0 / (r1 + r2 + alpha)
     upper = inf if r1 + r2 == 0.0 else 1.0 / (r1 + r2)
     return GlueGapBounds(

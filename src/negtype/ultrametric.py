@@ -4,10 +4,11 @@ An ultrametric space of diameter D splits into two nonempty parts with all
 cross-distances equal to D; recursing yields a tree whose leaf blocks have
 an exact closed-form gap. Walking the tree accumulates two-sided bounds on
 the reciprocal gap, and the minimum-distance clusters (coteries) determine
-the large-exponent limit of the normalized gap. ``decompose`` builds the
-only ultrametric tree, straight from the edges of the one minimum spanning
-tree pass of ``negtype.metric``; the coteries read those edges with no tree,
-and the strictly-ultrametric matrix test runs that pass on its own matrix.
+the large-exponent limit of the normalized gap. One union-find sweep,
+``_sweep``, merges the edges of the one minimum spanning tree pass of
+``negtype.metric`` height by height: ``decompose`` builds the only
+ultrametric tree from all of its heights, and the coteries read its first.
+The strictly-ultrametric matrix test runs that pass on its own matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .metric import (
     _power,
     _spanning_tree,
 )
+from .glue import _bridge
 from .spectral import refined_solve  # noqa: F401 (unused; bench/test_bench.py pins this tracer binding)
 
 
@@ -141,35 +143,42 @@ def _find(up: list[int], a: int) -> int:
     return a
 
 
+def _sweep(space: FiniteMetricSpace):
+    """Union-find over the spanning tree edges in ascending order, all edges
+    of one height together. Yields each height and a dict from each root that
+    the height forms to the roots, below the height, of the parts it joins."""
+    up = list(range(space.n))
+    for height, group in groupby(sorted(_require_ultrametric(space)), key=itemgetter(0)):
+        pairs = [(_find(up, p), _find(up, v)) for _, p, v in group]  # roots below ``height``
+        for a, b in pairs:
+            up[_find(up, a)] = _find(up, b)
+        joined: dict[int, list[int]] = {}
+        for a in {a for pair in pairs for a in pair}:
+            joined.setdefault(_find(up, a), []).append(a)
+        yield height, joined
+
+
 def decompose(space: FiniteMetricSpace, full_split: bool = False) -> UltrametricTree:
     """Recursive diameter-split tree of an ultrametric space.
 
-    The spanning tree edges merge by union-find in ascending order, all edges
-    of one height together. The parts that one height joins into a set are
-    the classes of "closer than that height", the set's diameter. The set
-    splits into its largest part (ties broken toward the part holding the
-    smallest index) and the rest, so cross-distances all equal the diameter;
-    the rest splits again at the same height until it is one part.
+    The parts that one height of ``_sweep`` joins into a set are the classes
+    of "closer than that height", the set's diameter. The set splits into its
+    largest part (ties broken toward the part holding the smallest index) and
+    the rest, so cross-distances all equal the diameter; the rest splits again
+    at the same height until it is one part.
     Children are ordered by their smallest point index. Splitting stops at
     singletons and at discrete blocks, single points at one height, whose
     gap is known exactly; with ``full_split`` discrete blocks keep splitting
     down to singletons. The tree is built bottom-up, with no recursion: it
     can be as deep as n.
     """
-    edges = _require_ultrametric(space)
     labels = space.labels
-    up = list(range(space.n))
     top = [UltrametricTree((labels[i],), (i,), 0.0, None) for i in range(space.n)]  # per root
-    for height, group in groupby(sorted(edges), key=itemgetter(0)):
-        pairs = [(_find(up, p), _find(up, v)) for _, p, v in group]  # roots below ``height``
-        for a, b in pairs:
-            up[_find(up, a)] = _find(up, b)
-        joined: dict[int, list[UltrametricTree]] = {}  # the parts of each root at ``height``
-        for a in {a for pair in pairs for a in pair}:
-            joined.setdefault(_find(up, a), []).append(top[a])
+    root = 0
+    for height, joined in _sweep(space):
         for root, parts in joined.items():
-            top[root] = _split(labels, height, parts, full_split)
-    return top[_find(up, 0)]
+            top[root] = _split(labels, height, [top[a] for a in parts], full_split)
+    return top[root]  # the last height joins every point
 
 
 def _split(
@@ -199,8 +208,11 @@ class SplitTerm:
     size: int
     split_distance: float
     alpha_cap: float
-    alpha_exact: float
     denominator: float
+
+    @property
+    def alpha_exact(self) -> float:
+        return 2.0 / self.denominator
 
 
 @dataclass(frozen=True)
@@ -209,7 +221,10 @@ class LeafTerm:
     size: int
     distance: float
     gamma: float
-    reciprocal: float
+
+    @property
+    def reciprocal(self) -> float:
+        return 1.0 / self.gamma  # 0.0 for a single point
 
 
 @dataclass(frozen=True)
@@ -239,12 +254,12 @@ def recursive_gap_bounds(
     (singletons contribute zero). Each split adds, to the upper reciprocal
     only, the cap size/diameter**p of its correction term. The exact term
     2 / denominator is reported per split, where the denominator is the glue
-    margin 2 c^p - M_p(left) - M_p(right) at the split distance c. The
-    children's M_p come bottom-up from the tree, with no matrix: a point has
-    0, a leaf block of k points at distance d has (k - 1) / k d^p, and a
-    split has c^p - (c^p - M_L) (c^p - M_R) / margin, which is
-    (c^2p - M_L M_R) / margin (see ``negtype.glue.glued_inverse``). Since
-    (c^p - M_R) / margin lies in (0, 1], no step leaves the range of c^p.
+    margin 2 c^p - M_p(left) - M_p(right) at the split distance c. One pass in
+    reversed pre-order takes each node's M_p from its children's, with no
+    matrix: a point has 0, a leaf block of k points at distance d has
+    (k - 1) / k d^p, and a split has c^p - (c^p - M_L) (c^p - M_R) / margin
+    (``negtype.glue._bridge``). Since (c^p - M_R) / margin lies in (0, 1], no
+    step leaves the range of c^p. Terms are listed and summed in pre-order.
 
     Raises ValueError, as ``p_distance_matrix`` does, when a power of a
     distance overflows or underflows to zero, or when a margin, which is at
@@ -254,49 +269,31 @@ def recursive_gap_bounds(
     _check_exponent(p)
     if space.n < 2:
         raise SinglePoint("gap bounds need at least two points")
-    tree = decompose(space, full_split=full_split)
-    nodes = list(tree.walk())
+    nodes = list(decompose(space, full_split=full_split).walk())
     distances = [node.split_distance for node in nodes]
     powers = [_power(distance, p) for distance in distances]
     with np.errstate(over="ignore"):
         _check_powers(distances, 2.0 * np.array(powers), p)
     m_p: list[float] = []  # a stack: in reversed pre-order a node follows its subtrees
-    margins = [0.0] * len(nodes)
-    for k in reversed(range(len(nodes))):
-        node, c_p = nodes[k], powers[k]
-        if node.is_leaf:
-            m_p.append((node.size - 1) / node.size * c_p)
-        else:
-            m_l, m_r = m_p.pop(), m_p.pop()
-            margins[k] = 2.0 * c_p - m_l - m_r
-            m_p.append(c_p - (c_p - m_l) * ((c_p - m_r) / margins[k]))
     splits: list[SplitTerm] = []
     leaves: list[LeafTerm] = []
-    lower = 0.0
-    alpha_sum = 0.0
-    for node, c_p, margin in zip(nodes, powers, margins):
+    for node, c_p in zip(reversed(nodes), reversed(powers)):
         if node.is_leaf:
-            if node.size == 1:
-                leaves.append(LeafTerm(node.labels, 1, 0.0, np.inf, 0.0))
-            else:
-                gamma = c_p * gamma_discrete(node.size)
-                leaves.append(
-                    LeafTerm(node.labels, node.size, node.split_distance, gamma, 1.0 / gamma)
-                )
-                lower += 1.0 / gamma
-            continue
-        alpha_cap = node.size / c_p
-        alpha_sum += alpha_cap
-        splits.append(
-            SplitTerm(
-                labels=node.labels,
-                size=node.size,
-                split_distance=node.split_distance,
-                alpha_cap=alpha_cap,
-                alpha_exact=2.0 / margin,
-                denominator=margin,
-            )
-        )
+            m_p.append((node.size - 1) / node.size * c_p)
+            gamma = np.inf if node.size == 1 else c_p * gamma_discrete(node.size)
+            leaves.append(LeafTerm(node.labels, node.size, node.split_distance, gamma))
+        else:
+            margin, _, m = _bridge(m_p.pop(), m_p.pop(), c_p)
+            m_p.append(m)
+            alpha_cap = node.size / c_p
+            splits.append(SplitTerm(node.labels, node.size, node.split_distance, alpha_cap, margin))
+    splits.reverse()
+    leaves.reverse()
+    lower = alpha_sum = 0.0
+    for leaf in leaves:  # summed in pre-order, one term at a time
+        lower += leaf.reciprocal
+    for split in splits:
+        alpha_sum += split.alpha_cap
     if lower + alpha_sum == np.inf:  # every reciprocal term is at most this sum
         raise ValueError(f"reciprocal gap bounds overflow at exponent {p}")
     return RecursiveGapBounds(
@@ -320,18 +317,10 @@ def coteries(space: FiniteMetricSpace) -> CoterieSet:
     These are the classes that the spanning tree edges of the minimum
     positive distance join, listed by their smallest index.
     """
-    edges = _require_ultrametric(space)
     if space.n < 2:
         raise SinglePoint("coteries need at least two points")
-    alpha = min(h for h, _, _ in edges)
-    up = list(range(space.n))
-    for h, p, v in edges:
-        if h == alpha:
-            up[_find(up, p)] = _find(up, v)
-    classes: dict[int, list[int]] = {}  # by root, in order of the smallest index
-    for i in range(space.n):
-        classes.setdefault(_find(up, i), []).append(i)
-    groups = [members for members in classes.values() if len(members) > 1]
+    alpha, joined = next(_sweep(space))  # every part below the first height is a point
+    groups = sorted(sorted(points) for points in joined.values())
     return CoterieSet(
         alpha=alpha,
         coteries=tuple(tuple(space.labels[j] for j in members) for members in groups),

@@ -19,7 +19,7 @@ from negtype import (
     validate_metric,
     xi_enlargement,
 )
-from negtype.errors import NonzeroDiagonal, NotStrict, TooFewPoints, ZeroGap
+from negtype.errors import NonzeroDiagonal, NotStrict, TooFewPoints, TooManyPoints, ZeroGap
 
 
 def dp_of(space, p=1.0):
@@ -224,6 +224,21 @@ class TestAveragingIdentity:
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(NonzeroDiagonal):
             averaging_identity(np.eye(3))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            averaging_identity(np.zeros((2, 3)))
+
+    def test_one_point_rejected(self):
+        with pytest.raises(TooFewPoints, match="^need at least two points$"):
+            averaging_identity(np.zeros((1, 1)))
+
+    def test_more_than_twenty_points_rejected(self):
+        # the enumeration is direct, so the oracle stops at 20 points
+        averaging_identity(np.zeros((20, 20)))
+        with pytest.raises(TooManyPoints, match="^21 points exceeds the enumeration cap of 20$") as info:
+            averaging_identity(np.zeros((21, 21)))
+        assert (info.value.n, info.value.cap) == (21, 20)
 
     def test_random_sizes(self):
         rng = np.random.default_rng(29)

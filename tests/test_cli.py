@@ -79,6 +79,14 @@ class TestAnalyze:
         assert "symmetric" in err
         assert out == ""
 
+    def test_eigensolver_failure_exits_one(self, capsys, monkeypatch):
+        def fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fails)
+        code, out, err = run(capsys, "analyze", DATA / "example_matrix.txt", "--json")
+        assert (code, out, err) == (1, "", "error: Eigenvalues did not converge\n")
+
     def test_not_negative_type_exits_two_with_witness(self, capsys):
         code, out, _ = run(capsys, "analyze", DATA / "line3.txt", "--p", "3")
         assert code == 2

@@ -432,6 +432,17 @@ class TestHatMatrix:
         with pytest.raises(ToleranceFailure, match=message):
             hat_matrix(dp)
 
+    def test_row_sum_residual_above_its_limit_fails(self, example78, monkeypatch):
+        # a refined inverse off by 1e-3 on its diagonal leaves hat 1 = -1e-3 1
+        dp = dp_of(example78)
+        refined = spectral.refined_solve
+        monkeypatch.setattr(
+            spectral, "refined_solve", lambda *args: refined(*args) + 1e-3 * np.eye(dp.n)
+        )
+        message = r"^hat row-sum residual 0\.001 exceeds limit \d\.\d\de-\d\d$"
+        with pytest.raises(ToleranceFailure, match=message):
+            hat_matrix(dp)
+
     def test_bitwise_equal_to_refined_explicit_inverse(self, example78):
         # Reference: LU inverse of D_p refined by up to three residual sweeps.
         for p in (0.5, 1.0, 2.0):
@@ -462,6 +473,13 @@ class TestHatMatrix:
 
 
 class TestGapExact:
+    @pytest.mark.parametrize("beta, shown", [(0.0, "0"), (-0.25, "-0.25")])
+    def test_sign_maximum_not_above_zero_fails(self, monkeypatch, beta, shown):
+        monkeypatch.setattr(gap, "_sign_maximum", lambda hat: (np.ones(hat.shape[0]), beta, 1))
+        message = f"^sign maximum {shown} on a strict space is not above 0$"
+        with pytest.raises(ToleranceFailure, match=message):
+            gap_exact(dp_of(discrete_space(3)))
+
     def test_two_point(self):
         for d, p in [(1.0, 1.0), (2.0, 1.0), (2.0, 3.0)]:
             result = gap_exact(dp_of(scale_space(discrete_space(2), d), p))

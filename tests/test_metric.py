@@ -64,6 +64,10 @@ class TestValidateMetric:
         assert space.n == 2
         assert space.dist[0, 1] == 2.0
 
+    def test_repr_names_size_and_labels(self):
+        space = validate_metric(["a", "b"], [[0, 2], [2, 0]])
+        assert repr(space) == "FiniteMetricSpace(n=2, labels=['a', 'b'])"
+
     def test_example_matrix_is_valid_and_ultrametric(self, example78):
         assert example78.n == 7
         assert is_ultrametric(example78)

@@ -29,6 +29,31 @@ def unused_imports(source: str) -> list[str]:
     return sorted(bound - read)
 
 
+def private_definitions(source: str) -> set[str]:
+    """Private module-level names that a source defines: functions, classes
+    and constants, but not dunders."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def names_read(source: str) -> set[str]:
+    """Names and attribute names that a source reads."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
 def test_unused_imports_are_found():
     source = (
         "from __future__ import annotations\n"
@@ -47,3 +72,29 @@ def test_no_unused_import(name):
     unused = unused_imports((PACKAGE / name).read_text(encoding="utf-8"))
     pinned = sorted(n for module, n in PINNED_UNUSED if module == name)
     assert unused == pinned
+
+
+def test_unread_private_names_are_found():
+    source = (
+        "import numpy as np\n"
+        "_CAP = 3\n_LIMIT: float = 1.0\n__version__ = '1'\n"
+        "class _Dead:\n    pass\n"
+        "def _used(x):\n    _local = x\n    return _local + np._NoValue\n"
+        "def _stale():\n    _stale = 1\n"
+        "def public():\n    return _used(_CAP)\n"
+    )
+    defined = private_definitions(source)
+    assert defined == {"_CAP", "_LIMIT", "_Dead", "_used", "_stale"}
+    assert sorted(defined - names_read(source)) == ["_Dead", "_LIMIT", "_stale"]
+
+
+def test_every_private_name_is_read():
+    # a helper that a refactor leaves behind is read by no module of the package
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    read = set().union(*(names_read(source) for source in sources.values()))
+    unread = sorted(
+        f"{module}:{name}"
+        for module, source in sources.items()
+        for name in private_definitions(source) - read
+    )
+    assert unread == []

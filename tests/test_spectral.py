@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from negtype import discrete_space, p_distance_matrix, scale_space, sym_eigen
 from negtype.spectral import lu_factor, refined_solve
-from negtype.errors import DimensionMismatch, NotSymmetric, ToleranceFailure
+from negtype.errors import DimensionMismatch, NoConvergence, NotSymmetric, ToleranceFailure
 
 
 def test_discrete_space_spectrum():
@@ -48,6 +48,16 @@ def test_symmetry_limit_carries_the_unit():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         sym_eigen(np.ones((3, 4)))
+
+
+def test_eigh_failure_is_no_convergence(monkeypatch):
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    with pytest.raises(NoConvergence, match="^Eigenvalues did not converge$") as info:
+        sym_eigen(np.ones((3, 3)) - np.eye(3))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_scaled_discrete_spectrum_closed_form():

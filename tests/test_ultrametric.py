@@ -227,6 +227,8 @@ class TestDecompose:
         assert repr(tree.children[1]) == "UltrametricTree(size=1, split_distance=0, leaf)"
         assert tree == again and tree is not again
         assert hash(tree) == hash(again)
+        assert tree.__eq__(tree.labels) is NotImplemented
+        assert tree != tree.labels and not tree == "tree"
         # x700 joins the points before it at 701.5 instead of 701: one split differs
         d = caterpillar(n)
         d[:700, 700] = d[700, :700] = 701.5
