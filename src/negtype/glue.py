@@ -101,7 +101,7 @@ def glue_spaces(spec: GlueSpec) -> FiniteMetricSpace:
 
 def _bridge(m_left: float, m_right: float, c_p: float) -> tuple[float, float, float]:
     """The bridged union's margin 2c^p - M_L - M_R, the weight t = (c^p - M_R) /
-    margin of its left part, and its M_p = c^p - (c^p - M_L) t (``glued_inverse``)."""
+    margin of its left part, and its M_p = c^p - (c^p - M_L) t (see ``glued_inverse``)."""
     margin = 2.0 * c_p - m_left - m_right
     t = (c_p - m_right) / margin
     return margin, t, c_p - (c_p - m_left) * t
@@ -163,8 +163,8 @@ def glued_inverse(dp1: PDistanceMatrix, dp2: PDistanceMatrix, c: float) -> np.nd
     with w = (u_L, -u_R) (see ``glued_hat_form``). With t = (c^p - M_R) / margin,
     u_p = (t u_L, (1 - t) u_R) sums to one and D_p u_p = M_p 1 for
     M_p = t M_L + (1 - t) c^p = c^p - (c^p - M_L) t, formed by ``_bridge`` with
-    no c^2p to leave the float range. A single point has hat 0, u_p = (1) and M_p = 0,
-    so one expression covers every size. The exponent is the components'
+    no c^2p to leave the float range. A single point has hat 0, u_p = (1) and
+    M_p = 0, so one expression covers every size. The exponent is the components'
     own, which must agree. The certificates are the ones the matrices hold.
     """
     GlueSpec(left=dp1.source, right=dp2.source, c=c)  # checks c and the labels
