@@ -31,6 +31,7 @@ from math import inf
 import numpy as np
 
 from . import spectral
+from .bounds import upper_bound_mean
 from .errors import (
     NotInF0,
     NotNegativeType,
@@ -41,6 +42,7 @@ from .errors import (
 from .metric import PDistanceMatrix, is_ultrametric
 
 DEFAULT_ENUMERATION_CAP = 24
+CONTAINMENT_RTOL = 1e-9  # relative slack of every check that an exact gap lies in its bounds
 
 _DIRECT_POINTS = 12  # up to this n, one product of all sign vectors beats the tables
 _HALF_BITS = 7  # signs in each of the two low blocks of the sign enumeration
@@ -65,7 +67,8 @@ class NegTypeCertificate:
 
     It holds only what the classification read. ``b`` solves D_p b = 1: one
     LU solve, or the least-residual solution from the eigenpairs when D_p is
-    singular. D_p^-1 is not kept; ``hat_matrix`` forms it.
+    singular. D_p^-1 is not kept; ``hat_matrix`` forms it. ``witness_form``
+    is the (D_p w | w) at the ``witness`` w that ``certify`` checked positive.
     """
 
     classification: Classification
@@ -79,6 +82,7 @@ class NegTypeCertificate:
     m_p_reason: str | None = None
     u_p: np.ndarray | None = None
     witness: np.ndarray | None = None
+    witness_form: float | None = None
     boundary_warning: bool = False
 
     @property
@@ -182,7 +186,7 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
         form = float(w @ entries @ w)
         if not form > 0:
             raise ToleranceFailure(f"witness form value {form:.3g} is not above limit 0")
-        fields = dict(m_p=inf, m_p_reason="not of p-negative type", witness=w)
+        fields = dict(m_p=inf, m_p_reason="not of p-negative type", witness=w, witness_form=form)
     elif ultrametric or (strict_spectrum and b_dot_one > btol):
         classification = Classification.STRICT_NEGATIVE_TYPE
         u_p, m_p = b / b_dot_one, 1.0 / b_dot_one
@@ -369,7 +373,9 @@ def gap_exact(dp: PDistanceMatrix, cap: int = DEFAULT_ENUMERATION_CAP) -> GapRes
     beta is evaluated, so no result depends on the blocking or the pruning
     (see _sign_maximum). ``evaluated`` counts the sign vectors whose value was
     computed. Non-strict spaces of negative type report exactly 0; single
-    points are unbounded.
+    points are unbounded. a = e_x - e_y gives gamma <= d(x, y)^p, so a gamma
+    above min(min d^p, ``upper_bound_mean``) (1 + CONTAINMENT_RTOL) comes
+    from an inaccurate hat matrix and raises ToleranceFailure for every caller.
     """
     cert = dp.certificate
     n = dp.n
@@ -385,8 +391,15 @@ def gap_exact(dp: PDistanceMatrix, cap: int = DEFAULT_ENUMERATION_CAP) -> GapRes
     z_star, beta, evaluated = _sign_maximum(hat_matrix(dp))
     if not beta > 0:
         raise ToleranceFailure(f"sign maximum {beta:.3g} on a strict space is not above 0")
+    gamma = 2.0 / beta
+    bound = min(float(dp.entries[dp.entries > 0].min()), upper_bound_mean(dp))
+    if not gamma <= bound * (1.0 + CONTAINMENT_RTOL):
+        raise ToleranceFailure(
+            f"exact gamma {gamma:.12g} exceeds its upper bound {bound:.12g},"
+            f" relative slack {CONTAINMENT_RTOL:g}"
+        )
     return GapResult(
-        gamma=2.0 / beta,
+        gamma=gamma,
         beta=beta,
         z_star=z_star,
         method=GapMethod.SIGN_ENUMERATION,

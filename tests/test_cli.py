@@ -264,6 +264,28 @@ class TestGlue:
         assert report["classification"] == "NotNegativeType"
         assert report["margin"] == pytest.approx(-0.6, abs=1e-12)
 
+    def test_component_gap_above_its_definition_bound_exits_three(self, capsys, tmp_path):
+        # gap_exact refuses the gap 1.25e-293 of the 1e-308 component, so
+        # no glue bounds are built from it; the glued space is above the cap
+        path = tmp_path / "tiny.txt"
+        path.write_text("labels: a b e\n3\n0 1e-308 1\n1e-308 0 1\n1 1 0\n")
+        argv = ["glue", path, DATA / "x2_cd.txt", "--c", "5", "--cap", "4"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: exact gamma 1.25260522501e-293 exceeds its upper bound 1e-308,"
+            " relative slack 1e-09\n"
+        )
+
+    def test_glued_space_is_built_only_for_its_exact_gap(self, capsys, spanning_tree_calls):
+        # the components (5 points each) get exact gaps, the 10-point union does not
+        argv = ["glue", DATA / "x5_a.txt", DATA / "x5_b.txt", "--c", "5", "--json", "--cap", "9"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert "bounds" in report and "glued_gamma_exact" not in report
+        assert spanning_tree_calls == [5, 5]
+
     def test_overflowing_bridge_power_exits_one(self, capsys, tmp_path):
         # the components are in range, but 2c^p is not; c**p raised OverflowError
         path = tmp_path / "x3.txt"
@@ -344,15 +366,16 @@ class TestUltra:
 
     def test_exact_gap_outside_its_bounds_exits_three(self, capsys, tmp_path):
         # the {a b} block bounds gamma by 1e-308; the gap enumerated on an
-        # inaccurate hat matrix reads 1.25e-293
+        # inaccurate hat matrix reads 1.25e-293, which gap_exact refuses
+        # against the definition bound d(a, b) before the recursive bounds
         path = tmp_path / "tiny.txt"
         path.write_text("labels: a b c\n3\n0 1e-308 1\n1e-308 0 1\n1 1 0\n")
         for extra in ([], ["--json"]):
             code, out, err = run(capsys, "ultra", "bounds", path, *extra)
             assert (code, out) == (3, "")
             assert err == (
-                "error: exact gamma 1.25260522501e-293 lies outside its recursive bounds"
-                " [1e-308, 1e-308], relative slack 1e-09\n"
+                "error: exact gamma 1.25260522501e-293 exceeds its upper bound 1e-308,"
+                " relative slack 1e-09\n"
             )
 
     @pytest.mark.parametrize(
@@ -596,6 +619,16 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert outcomes[1][2].endswith("error: the following arguments are required: --c\n")
     assert len(parsers) == 4 and all(p is parsers[0] for p in parsers)
     assert parsers[0].format_help() == _build_parser.__wrapped__().format_help()
+
+
+def test_witness_form_value_is_the_certified_form(capsys):
+    code, out, _ = run(capsys, "analyze", DATA / "line3.txt", "--p", "3", "--json")
+    assert code == 2
+    report = json.loads(out)
+    dp = p_distance_matrix(_load_matrix_space(str(DATA / "line3.txt")), 3.0)
+    w = dp.certificate.witness
+    assert report["witness_form_value"] == dp.certificate.witness_form == float(w @ dp.entries @ w)
+    assert report["witness_form_value"] == pytest.approx(0.5, rel=1e-15)
 
 
 def _refuse(constant):

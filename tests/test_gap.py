@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import warnings
 from dataclasses import replace
 from math import inf
@@ -107,13 +108,13 @@ NOT_NEGATIVE_TYPE = [
 
 def assert_witness(dp, cert):
     """The witness is zero-sum, 1-normalized, signed by its largest-magnitude
-    entry, and the form is positive at it."""
+    entry, and the form the certificate keeps is positive at it."""
     w = cert.witness
     assert cert.classification is Classification.NOT_NEGATIVE_TYPE
     assert np.abs(w).sum() == pytest.approx(1.0, abs=1e-14)
     assert abs(w.sum()) <= 1e-10
     assert w[np.abs(w).argmax()] > 0
-    assert w @ dp.entries @ w > 0
+    assert cert.witness_form == float(w @ dp.entries @ w) > 0
 
 
 class TestCertify:
@@ -479,6 +480,25 @@ class TestGapExact:
         message = f"^sign maximum {shown} on a strict space is not above 0$"
         with pytest.raises(ToleranceFailure, match=message):
             gap_exact(dp_of(discrete_space(3)))
+
+    def test_gap_above_its_definition_bound_fails(self):
+        # a = e_a - e_b bounds gamma by d(a, b) = 1e-308; the hat matrix of
+        # this valid ultrametric is inaccurate, and its sign maximum gives 1.25e-293
+        space = validate_metric(["a", "b", "e"], [[0, 1e-308, 1], [1e-308, 0, 1], [1, 1, 0]])
+        message = "exact gamma 1.25260522501e-293 exceeds its upper bound 1e-308, relative slack 1e-09"
+        with pytest.raises(ToleranceFailure, match=f"^{re.escape(message)}$"):
+            gap_exact(dp_of(space))
+
+    def test_gap_above_the_mean_bound_fails(self, monkeypatch):
+        # the discrete 3-point gap 0.75 equals its mean bound; a bound of 0.5 is below it
+        monkeypatch.setattr(gap, "upper_bound_mean", lambda dp: 0.5)
+        message = "exact gamma 0.75 exceeds its upper bound 0.5, relative slack 1e-09"
+        with pytest.raises(ToleranceFailure, match=f"^{re.escape(message)}$"):
+            gap_exact(dp_of(discrete_space(3)))
+
+    def test_gap_within_the_slack_of_its_bound_passes(self, monkeypatch):
+        monkeypatch.setattr(gap, "upper_bound_mean", lambda dp: 0.75 / (1.0 + 0.9e-9))
+        assert gap_exact(dp_of(discrete_space(3))).gamma == pytest.approx(0.75, rel=1e-15)
 
     def test_two_point(self):
         for d, p in [(1.0, 1.0), (2.0, 1.0), (2.0, 3.0)]:
