@@ -1,8 +1,8 @@
 """Command-line front end: parse files, run analyses, emit reports.
 
 stdout carries the report (human text, or one line of JSON with ``--json``);
-stderr carries diagnostics. Exit codes: 0 success, 1 invalid input, 2 the
-space is not of p-negative type (a witness is printed), 3 an internal
+stderr carries diagnostics. Exit codes: 0 success, 1 invalid input or usage,
+2 the space is not of p-negative type (a witness is printed), 3 an internal
 tolerance check failed.
 """
 
@@ -67,6 +67,16 @@ def _finite_or_null(x: float) -> float | None:
 def _fmt_or_inf(x: float | None) -> str:
     """The text form of a report value that ``_finite_or_null`` wrote."""
     return "inf" if x is None else _fmt(x)
+
+
+def _check_containment(gamma: float, lower: float, upper: float, bounds: str) -> None:
+    """Raise ToleranceFailure unless the exact gamma lies in the printed
+    [lower, upper], within ``CONTAINMENT_RTOL`` relatively."""
+    if not lower * (1.0 - CONTAINMENT_RTOL) <= gamma <= upper * (1.0 + CONTAINMENT_RTOL):
+        raise ToleranceFailure(
+            f"exact gamma {_fmt(gamma)} lies outside its {bounds}"
+            f" [{_fmt(lower)}, {_fmt(upper)}], relative slack {CONTAINMENT_RTOL:g}"
+        )
 
 
 def _space_echo(space: FiniteMetricSpace) -> dict:
@@ -256,7 +266,10 @@ def cmd_glue(args) -> tuple[dict, int]:
 
     if left.n + right.n <= args.cap and exit_code == EXIT_OK:
         glued_dp = p_distance_matrix(glue_mod.glue_spaces(spec), args.p)
-        report["glued_gamma_exact"] = gap_mod.gap_exact(glued_dp, cap=args.cap).gamma
+        gamma = gap_mod.gap_exact(glued_dp, cap=args.cap).gamma
+        if "bounds" in report:
+            _check_containment(gamma, gap_bounds.lower, gap_bounds.upper, "glue bounds")
+        report["glued_gamma_exact"] = gamma
     return report, exit_code
 
 
@@ -318,12 +331,7 @@ def cmd_ultra(args) -> tuple[dict, int]:
         if space.n <= args.cap:
             dp = p_distance_matrix(space, args.p)
             gamma = gap_mod.gap_exact(dp, cap=args.cap).gamma
-            lower, upper = rec.gamma_lower, rec.gamma_upper
-            if not lower * (1.0 - CONTAINMENT_RTOL) <= gamma <= upper * (1.0 + CONTAINMENT_RTOL):
-                raise ToleranceFailure(
-                    f"exact gamma {_fmt(gamma)} lies outside its recursive bounds"
-                    f" [{_fmt(lower)}, {_fmt(upper)}], relative slack {CONTAINMENT_RTOL:g}"
-                )
+            _check_containment(gamma, rec.gamma_lower, rec.gamma_upper, "recursive bounds")
             report["gamma_exact"] = gamma
     else:  # coteries or asymptotic
         cots = ultra_mod.coteries(space)
@@ -443,13 +451,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return EXIT_INVALID_INPUT if exc.code else EXIT_OK
     handler, render = {
         "analyze": (cmd_analyze, _render_analyze),
         "glue": (cmd_glue, _render_glue),
         "ultra": (cmd_ultra, _render_ultra),
     }[args.command]
     try:
+        if args.cap < 1:
+            raise ValueError(f"--cap must be at least 1, got {args.cap}")
         started = time.perf_counter()
         report, exit_code = handler(args)
         report["timing_seconds"] = time.perf_counter() - started

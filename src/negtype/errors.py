@@ -1,7 +1,11 @@
 """Exception hierarchy shared across the package.
 
-Every exception derives from :class:`NegTypeError` so callers can catch the
-whole family at once (the CLI maps them to exit codes).
+The package's own exceptions derive from :class:`NegTypeError`, so callers
+can catch the whole family at once. Invalid input raises a ``NegTypeError``
+subclass or a ``ValueError`` (a wrong shape, a non-finite entry, a power out
+of the float range, an argument below its least value), and the CLI maps
+both to exit 1; :class:`ToleranceFailure`, a failed internal numerical
+self-check, maps to exit 3.
 """
 
 from __future__ import annotations

@@ -47,6 +47,7 @@ CONTAINMENT_RTOL = 1e-9  # relative slack of every check that an exact gap lies 
 _DIRECT_POINTS = 12  # up to this n, one product of all sign vectors beats the tables
 _HALF_BITS = 7  # signs in each of the two low blocks of the sign enumeration
 _BLOCK_ENTRIES = 1 << 17  # values (1 MB) per enumeration block
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class Classification(Enum):
@@ -300,9 +301,18 @@ def _sign_maximum(
     at least best - 2 tol (or all of its rows, when more than half of the
     pairs are), and the visit stops at the first row whose bound is below
     that.
+
+    A sum|hat_ij| above the float range raises ToleranceFailure before any
+    value is formed: its tie tolerance would be infinite.
     """
     n = hat.shape[0]
-    tol = 4.0 * n * np.finfo(np.float64).eps * float(np.abs(hat).sum())
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below, not warned of
+        total = float(np.abs(hat).sum())
+    if not total <= _FLOAT_MAX:
+        raise ToleranceFailure(
+            f"sum|hat_ij| = {total:.3g} exceeds the float limit {_FLOAT_MAX:.3g}"
+        )
+    tol = 4.0 * n * np.finfo(np.float64).eps * total
     if n <= _DIRECT_POINTS:  # z holds the signs after the first
         z = _sign_patterns(n - 1)
         values = _forms(hat[1:, 1:], z) + (2.0 * hat[0, 1:] @ z + hat[0, 0])

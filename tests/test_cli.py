@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 import negtype
 from helpers import caterpillar, random_euclidean, random_ultrametric
-from negtype import gap, p_distance_matrix, spectral
+from negtype import gap, glue, p_distance_matrix, spectral, ultrametric
 from negtype.cli import _build_parser, _load_matrix_space, _load_ultra_space, main
 
 DATA = Path(__file__).parent / "data"
@@ -277,6 +278,21 @@ class TestGlue:
             " relative slack 1e-09\n"
         )
 
+    def test_exact_glued_gap_outside_its_bounds_exits_three(self, capsys, monkeypatch):
+        # the glued gap 0.5 is the upper end of [0.25, 0.5]; an upper end of
+        # 0.4 leaves it outside
+        real = glue.glue_gap_bounds
+        monkeypatch.setattr(
+            glue, "glue_gap_bounds", lambda *args: replace(real(*args), upper=0.4)
+        )
+        argv = ["glue", DATA / "x2_ab.txt", DATA / "x2_cd.txt", "--c", "1"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: exact gamma 0.5 lies outside its glue bounds [0.25, 0.4],"
+            " relative slack 1e-09\n"
+        )
+
     def test_glued_space_is_built_only_for_its_exact_gap(self, capsys, spanning_tree_calls):
         # the components (5 points each) get exact gaps, the 10-point union does not
         argv = ["glue", DATA / "x5_a.txt", DATA / "x5_b.txt", "--c", "5", "--json", "--cap", "9"]
@@ -377,6 +393,21 @@ class TestUltra:
                 "error: exact gamma 1.25260522501e-293 exceeds its upper bound 1e-308,"
                 " relative slack 1e-09\n"
             )
+
+    def test_exact_gap_outside_its_recursive_bounds_exits_three(self, capsys, monkeypatch):
+        # the exact gap 0.387 lies in [0.121, 0.4]; a lower reciprocal of 3
+        # moves the upper end to 1/3, below it
+        real = ultrametric.recursive_gap_bounds
+        monkeypatch.setattr(
+            ultrametric, "recursive_gap_bounds",
+            lambda *args, **kwargs: replace(real(*args, **kwargs), lower_reciprocal=3.0),
+        )
+        code, out, err = run(capsys, "ultra", "bounds", DATA / "example_graph.txt")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: exact gamma 0.387045813586 lies outside its recursive bounds"
+            " [0.121212121212, 0.333333333333], relative slack 1e-09\n"
+        )
 
     @pytest.mark.parametrize(
         "text, labels, dist",
@@ -609,16 +640,52 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     invalid = ["glue", DATA / "x5_a.txt", DATA / "x5_b.txt"]  # --c is required
     outcomes = []
     for argv in (valid, invalid, valid, invalid):
-        try:
-            code, out, err = run(capsys, *argv)
-        except SystemExit as exc:
-            code, (out, err) = exc.code, capsys.readouterr()
+        code, out, err = run(capsys, *argv)
         outcomes.append((code, out.rsplit("timing: ", 1)[0], err))
     assert outcomes[:2] == outcomes[2:]
-    assert outcomes[1][:2] == (2, "")
+    assert outcomes[1][:2] == (1, "")  # a usage error is invalid input
     assert outcomes[1][2].endswith("error: the following arguments are required: --c\n")
     assert len(parsers) == 4 and all(p is parsers[0] for p in parsers)
     assert parsers[0].format_help() == _build_parser.__wrapped__().format_help()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["glue", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: negtype")
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "missing.txt"], ["glue", "missing.txt", "other.txt", "--c", "1"],
+     ["ultra", "bounds", "missing.txt"], ["ultra", "decompose", "missing.txt"]],
+    ids=["analyze", "glue", "ultra-bounds", "ultra-decompose"],
+)
+def test_cap_below_one_is_rejected_before_loading(capsys, tmp_path, argv, cap):
+    # the files do not exist: the cap is checked first
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+    code, out, err = run(capsys, *argv, "--cap", cap)
+    assert (code, out) == (1, "")
+    assert err == f"error: --cap must be at least 1, got {cap}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "{}"], ["ultra", "bounds", "{}"],
+     *(["glue", "{}", "x2_cd.txt", "--c", c] for c in ("1", "5", "100"))],
+    ids=["analyze", "ultra-bounds", "glue-c1", "glue-c5", "glue-c100"],
+)
+def test_hat_sum_above_the_float_range_exits_three(capsys, tmp_path, argv):
+    # a valid ultrametric whose hat matrix reaches 5e307: sum|hat_ij|
+    # overflows, so its tie tolerance would be infinite
+    path = tmp_path / "tiny4.txt"
+    path.write_text("labels: s a b e\n4\n0 1 1 1\n1 0 1e-308 1\n1 1e-308 0 1\n1 1 1 0\n")
+    argv = [str(path) if a == "{}" else DATA / a if a.endswith(".txt") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "error: sum|hat_ij| = inf exceeds the float limit 1.8e+308\n"
 
 
 def test_witness_form_value_is_the_certified_form(capsys):

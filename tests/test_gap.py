@@ -500,6 +500,18 @@ class TestGapExact:
         monkeypatch.setattr(gap, "upper_bound_mean", lambda dp: 0.75 / (1.0 + 0.9e-9))
         assert gap_exact(dp_of(discrete_space(3))).gamma == pytest.approx(0.75, rel=1e-15)
 
+    def test_hat_sum_above_the_float_range_fails_before_any_value(self, monkeypatch):
+        # every entry is finite, the sum is not; no value may be formed with
+        # an infinite tie tolerance, and no floating-point warning is raised
+        def forms(block, z):
+            raise AssertionError("a value was formed")
+
+        monkeypatch.setattr(gap, "_forms", forms)
+        message = "sum|hat_ij| = inf exceeds the float limit 1.8e+308"
+        for n in (4, 13):  # one product of all vectors, and the tables
+            with pytest.raises(ToleranceFailure, match=f"^{re.escape(message)}$"):
+                _sign_maximum(np.full((n, n), 2e307))
+
     def test_two_point(self):
         for d, p in [(1.0, 1.0), (2.0, 1.0), (2.0, 3.0)]:
             result = gap_exact(dp_of(scale_space(discrete_space(2), d), p))

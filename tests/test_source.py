@@ -54,6 +54,59 @@ def names_read(source: str) -> set[str]:
     return read
 
 
+def tolerance_messages(source: str) -> list[tuple[int, bool]]:
+    """The line of each ``raise ToleranceFailure(...)`` in a source, and
+    whether its message states a value and its threshold: an f-string with
+    at least one interpolated value whose constant text names a limit, a
+    bound, a slack or "not above"."""
+    raises = []
+    for node in ast.walk(ast.parse(source)):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "ToleranceFailure"):
+            continue
+        message = call.args[0] if call.args else None
+        parts = message.values if isinstance(message, ast.JoinedStr) else []
+        text = "".join(p.value for p in parts if isinstance(p, ast.Constant))
+        valued = any(isinstance(p, ast.FormattedValue) for p in parts)
+        named = any(word in text for word in ("limit", "bound", "slack", "not above"))
+        raises.append((node.lineno, valued and named))
+    return raises
+
+
+def test_tolerance_messages_are_checked():
+    source = (
+        "def f(x, limit):\n"
+        "    if x > limit:\n"
+        "        raise ToleranceFailure(f'x {x} exceeds limit {limit}')\n"
+        "    if x < 0:\n"
+        "        raise ToleranceFailure(f'x {x:.3g} is negative')\n"
+        "    if x == 1:\n"
+        "        raise ToleranceFailure('x is not above limit 1')\n"
+        "    if x == 2:\n"
+        "        raise ToleranceFailure(message)\n"
+        "    if x == 3:\n"
+        "        raise ToleranceFailure(\n"
+        "            f'x {x} lies outside'\n"
+        "            f' [0, 1], relative slack {1e-9:g}'\n"
+        "        ) from None\n"
+        "    raise ValueError(f'x {x} is above its bound')\n"
+    )
+    assert tolerance_messages(source) == [
+        (3, True), (5, False), (7, False), (9, False), (11, True)
+    ]
+
+
+def test_every_tolerance_failure_states_its_value_and_threshold():
+    raises = {
+        (p.name, line): ok
+        for p in PACKAGE.glob("*.py")
+        for line, ok in tolerance_messages(p.read_text(encoding="utf-8"))
+    }
+    assert len(raises) >= 12
+    assert sorted(where for where, ok in raises.items() if not ok) == []
+
+
 def test_unused_imports_are_found():
     source = (
         "from __future__ import annotations\n"
