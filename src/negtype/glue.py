@@ -27,8 +27,7 @@ from .errors import (
 from .metric import (
     FiniteMetricSpace,
     PDistanceMatrix,
-    _check_powers,
-    _power,
+    _powers,
     p_distance_matrix,
     validate_metric,
 )
@@ -117,8 +116,7 @@ def _classify(dp1: PDistanceMatrix, dp2: PDistanceMatrix, c: float) -> GlueTypeR
     for side, cert in (("left", cert1), ("right", cert2)):
         if not cert.strict:
             raise ComponentNotStrict(f"{side} component is not of strict p-negative type")
-    c_p = _power(c, p)
-    _check_powers([c], [2.0 * c_p], p)
+    [c_p] = _powers([c], p, headroom=2.0).tolist()
     margin = 2.0 * c_p - cert1.m_p - cert2.m_p
     tol = 1e-9 * 2.0 * c_p  # the margin's own unit, d^p
     if margin > tol:
@@ -163,14 +161,17 @@ def glued_inverse(dp1: PDistanceMatrix, dp2: PDistanceMatrix, c: float) -> np.nd
     with w = (u_L, -u_R) (see ``glued_hat_form``). With t = (c^p - M_R) / margin,
     u_p = (t u_L, (1 - t) u_R) sums to one and D_p u_p = M_p 1 for
     M_p = t M_L + (1 - t) c^p = c^p - (c^p - M_L) t, formed by ``_bridge`` with
-    no c^2p to leave the float range. A single point has hat 0, u_p = (1) and
-    M_p = 0, so one expression covers every size. The exponent is the components'
-    own, which must agree. The certificates are the ones the matrices hold.
+    no c^2p to leave the float range. c^p is the array power of
+    ``metric._powers``, bit for bit the cross entry of the glued D_p. A single
+    point has hat 0, u_p = (1) and M_p = 0, so one expression covers every
+    size. The exponent is the components' own, which must agree. The
+    certificates are the ones the matrices hold.
     """
     GlueSpec(left=dp1.source, right=dp2.source, c=c)  # checks c and the labels
     _strict_margin(_classify(dp1, dp2, c))
     cert1, cert2 = dp1.certificate, dp2.certificate
-    margin, t, m_p = _bridge(cert1.m_p, cert2.m_p, c**dp1.p)  # _classify bounded 2c^p
+    [c_p] = _powers([c], dp1.p).tolist()  # _classify bounded 2c^p
+    margin, t, m_p = _bridge(cert1.m_p, cert2.m_p, c_p)
     u = np.concatenate([t * cert1.u_p, (1.0 - t) * cert2.u_p])
     w = np.concatenate([cert1.u_p, -cert2.u_p])
     hat = np.outer(w, w) / margin

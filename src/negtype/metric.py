@@ -192,30 +192,26 @@ def _check_exponent(p: float) -> None:
         raise NonpositiveExponent(f"exponent must be positive, got {p}")
 
 
-def _check_powers(distances, powers, p: float) -> None:
-    """Reject powers of distances that left the float range: one that
-    overflowed, or a positive distance whose power underflowed to zero."""
-    if not np.isfinite(powers).all():
+def _powers(distances, p: float, headroom: float = 1.0) -> np.ndarray:
+    """numpy's array power ``distances ** p``: the only power of a distance in
+    the package, so each d^p equals its D_p entry bit for bit (a numpy scalar
+    power or Python's ``**`` differs in the last bit on about 5 % of pairs).
+    Raises ValueError when ``headroom * d^p`` overflows, or when the power of
+    a positive distance underflows to zero."""
+    d = np.asarray(distances, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        powers = d**p
+    if not np.isfinite(headroom * float(powers.max(initial=0.0))):  # powers are >= 0
         raise ValueError(f"distance powers overflow at exponent {p}")
-    if (np.asarray(powers)[np.asarray(distances) > 0.0] == 0.0).any():
+    if (powers[d > 0.0] == 0.0).any():
         raise ValueError(f"distance powers underflow to zero at exponent {p}")
-
-
-def _power(distance: float, p: float) -> float:
-    """distance**p in Python floats, with inf where it overflows."""
-    try:
-        return distance**p
-    except OverflowError:
-        return np.inf
+    return powers
 
 
 def p_distance_matrix(space: FiniteMetricSpace, p: float) -> PDistanceMatrix:
     """Entrywise p-th power of the distance matrix (p > 0)."""
     _check_exponent(p)
-    with np.errstate(over="ignore"):
-        entries = space.dist**p
-    _check_powers(space.dist, entries, p)
-    return PDistanceMatrix(p=float(p), entries=_freeze(entries), source=space)
+    return PDistanceMatrix(p=float(p), entries=_freeze(_powers(space.dist, p)), source=space)
 
 
 def discrete_space(n: int, scale: float = 1.0) -> FiniteMetricSpace:

@@ -25,8 +25,7 @@ from .metric import (
     FiniteMetricSpace,
     PDistanceMatrix,
     _check_exponent,
-    _check_powers,
-    _power,
+    _powers,
     _spanning_tree,
 )
 from .glue import _bridge
@@ -260,6 +259,8 @@ def recursive_gap_bounds(
     (k - 1) / k d^p, and a split has c^p - (c^p - M_L) (c^p - M_R) / margin
     (``negtype.glue._bridge``). Since (c^p - M_R) / margin lies in (0, 1], no
     step leaves the range of c^p. Terms are listed and summed in pre-order.
+    Every c^p comes from one ``metric._powers`` call, the array power that
+    builds D_p, so it equals the D_p entry at that distance bit for bit.
 
     Raises ValueError, as ``p_distance_matrix`` does, when a power of a
     distance overflows or underflows to zero, or when a margin, which is at
@@ -270,10 +271,7 @@ def recursive_gap_bounds(
     if space.n < 2:
         raise SinglePoint("gap bounds need at least two points")
     nodes = list(decompose(space, full_split=full_split).walk())
-    distances = [node.split_distance for node in nodes]
-    powers = [_power(distance, p) for distance in distances]
-    with np.errstate(over="ignore"):
-        _check_powers(distances, 2.0 * np.array(powers), p)
+    powers = _powers([node.split_distance for node in nodes], p, headroom=2.0).tolist()
     m_p: list[float] = []  # a stack: in reversed pre-order a node follows its subtrees
     splits: list[SplitTerm] = []
     leaves: list[LeafTerm] = []
