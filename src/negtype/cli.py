@@ -24,7 +24,7 @@ from .gap import CONTAINMENT_RTOL
 from .metric import (
     FiniteMetricSpace,
     _check_exponent,
-    _content_lines,
+    _first_content_line,
     is_ultrametric,
     p_distance_matrix,
     parse_edge_list_text,
@@ -52,7 +52,7 @@ def _load_ultra_space(path: str) -> FiniteMetricSpace:
     comment is ``labels: ...`` or a lone count, and an edge list otherwise."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    _, first = next(_content_lines(text), (0, ""))
+    first = _first_content_line(text)
     if first.startswith("labels:") or len(first.split()) == 1:
         labels, matrix = parse_matrix_text(text)
         return validate_metric(labels, matrix)

@@ -62,7 +62,7 @@ class GapMethod(Enum):
     SINGLE_POINT = "SinglePoint"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NegTypeCertificate:
     """Spectral and solvability evidence for the type classification.
 
@@ -91,7 +91,7 @@ class NegTypeCertificate:
         return self.classification is Classification.STRICT_NEGATIVE_TYPE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapResult:
     gamma: float
     beta: float
@@ -100,7 +100,7 @@ class GapResult:
     evaluated: int = 0  # sign vectors whose value the enumeration computed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
     """Best restart of the numeric oracle; ``iterations`` is the number of
     flip rounds the search ran (at most ``max_iterations``)."""

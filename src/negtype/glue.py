@@ -31,6 +31,7 @@ from .metric import (
     p_distance_matrix,
     validate_metric,
 )
+from .spectral import ZERO_TOL_FACTOR
 from .spectral import refined_solve  # noqa: F401 (unused; bench/test_bench.py pins this tracer binding)
 
 
@@ -78,7 +79,7 @@ class GlueGapBounds:
     out_of_hypothesis: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GluedHatForm:
     """Hat-form values; fields are arrays when a batch of vectors is passed."""
 
@@ -118,7 +119,7 @@ def _classify(dp1: PDistanceMatrix, dp2: PDistanceMatrix, c: float) -> GlueTypeR
             raise ComponentNotStrict(f"{side} component is not of strict p-negative type")
     [c_p] = _powers([c], p, headroom=2.0).tolist()
     margin = 2.0 * c_p - cert1.m_p - cert2.m_p
-    tol = 1e-9 * 2.0 * c_p  # the margin's own unit, d^p
+    tol = ZERO_TOL_FACTOR * 2.0 * c_p  # the margin's own unit, d^p
     if margin > tol:
         classification = GlueClassification.STRICT
     elif margin >= -tol:

@@ -53,7 +53,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """A labeled point set with a validated symmetric distance matrix."""
 
@@ -81,7 +81,7 @@ class FiniteMetricSpace:
         return edges, float((d - sub).max()), METRIC_RTOL * float(d.max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PDistanceMatrix:
     """Entrywise p-th power of a distance matrix, with its source space and
     the one certificate that every analysis of it reads."""
@@ -349,6 +349,19 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+def _first_content_line(text: str) -> str:
+    """The first line that ``_content_lines`` yields, or "", without
+    splitting all of ``text``: it reads prefixes, each 16 times longer than
+    the last, and leaves out a prefix's last line, which may be cut short."""
+    size = 1024
+    while size < len(text):
+        head = text[:size].splitlines(keepends=True)[:-1]
+        for _, line in _content_lines("".join(head)):
+            return line
+        size *= 16
+    return next(_content_lines(text), (0, ""))[1]
 
 
 class _TokenFloats(dict):

@@ -28,7 +28,7 @@ ZERO_TOL_FACTOR = 1e-9
 _REFINE_SWEEPS = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Ascending eigenvalues with orthonormal eigenvector columns."""
 

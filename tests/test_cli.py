@@ -418,6 +418,10 @@ class TestUltra:
                          [[0, 3], [3, 0]], id="count-line"),
             pytest.param("# head\n\na b 3 # edge\n\nb c 1\n", ("a", "b", "c"),
                          [[0, 3, 3], [3, 0, 1], [3, 1, 0]], id="edge-list"),
+            pytest.param("# head\n\n   \x0c# c\x0c\n2\n0 3\n3 0\n", ("x1", "x2"),
+                         [[0, 3], [3, 0]], id="count-after-form-feed"),
+            pytest.param("#" * 5000 + "\n\n\x0c2\x0c0 3\n3 0\n", ("x1", "x2"),
+                         [[0, 3], [3, 0]], id="count-after-a-long-comment"),
         ],
     )
     def test_format_is_read_from_the_first_content_line(self, tmp_path, text, labels, dist):

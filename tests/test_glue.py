@@ -134,6 +134,15 @@ class TestTypeCondition:
         glued_cert = certify(dp_of(glue_spaces(spec)))
         assert glued_cert.classification.value == "NotNegativeType"
 
+    def test_margin_reads_the_cross_entry_of_the_glued_matrix(self):
+        # at c = 7, p = 1.5, Python's 7 ** 1.5 is one unit in the last place
+        # above the array power that builds D_p
+        left, right = relabel(discrete_space(5), "L"), relabel(discrete_space(5), "R")
+        spec = GlueSpec(left=left, right=right, c=7.0)
+        entries = dp_of(glue_spaces(spec), 1.5).entries
+        result = glue_type_condition(spec, 1.5)
+        assert result.margin == 2.0 * entries[0, 5] - result.m_p_left - result.m_p_right
+
     def test_margin_increases_with_c(self, pair_x2):
         left, right = pair_x2
         margins = [

@@ -33,6 +33,9 @@ from negtype import (
     coteries,
     decompose,
     discrete_space,
+    gap_exact,
+    gap_numeric_oracle,
+    glued_hat_form,
     is_ultrametric,
     mp_ultrametric_properties,
     p_distance_matrix,
@@ -41,6 +44,7 @@ from negtype import (
     recursive_gap_bounds,
     scale_space,
     space_stats,
+    sym_eigen,
     ultrametric_from_graph,
     validate_metric,
 )
@@ -242,6 +246,42 @@ class TestPDistanceMatrix:
         first = p_distance_matrix(example78, 1.7).entries
         second = p_distance_matrix(example78, 1.7).entries
         assert np.array_equal(first, second)
+
+
+def _pair(labels="ab"):
+    return validate_metric(labels, [[0, 2], [2, 0]])
+
+
+# each builds a fresh record equal, field by field, to the one before
+RECORDS_WITH_ARRAYS = {
+    "FiniteMetricSpace": _pair,
+    "PDistanceMatrix": lambda: p_distance_matrix(_pair(), 1.5),
+    "NegTypeCertificate": lambda: certify(p_distance_matrix(_pair(), 1.5)),
+    "Spectrum": lambda: sym_eigen(p_distance_matrix(_pair(), 1.5).entries),
+    "GapResult": lambda: gap_exact(p_distance_matrix(_pair(), 1.5)),
+    "OracleResult": lambda: gap_numeric_oracle(p_distance_matrix(_pair(), 1.5), restarts=4),
+    "GluedHatForm": lambda: glued_hat_form(
+        p_distance_matrix(_pair("ab"), 1.0), p_distance_matrix(_pair("cd"), 1.0), 2.0, np.eye(4)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS_WITH_ARRAYS))
+def test_records_with_arrays_compare_and_hash_by_identity(name):
+    # a generated __eq__ would compare the array fields and raise
+    a, b = RECORDS_WITH_ARRAYS[name](), RECORDS_WITH_ARRAYS[name]()
+    assert type(a).__name__ == name
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == object.__hash__(a)
+    assert {a: 1}[a] == 1 and b not in {a: 1}
+
+
+def test_scalar_records_keep_value_equality():
+    edges = [("a", "b", 1.0), ("b", "c", 2.0)]
+    assert build_graph(edges) == build_graph(edges)
+    assert hash(build_graph(edges)) == hash(build_graph(edges))
+    assert space_stats(_pair()) == space_stats(_pair())
 
 
 class TestDiscreteAndScale:
@@ -575,6 +615,16 @@ class TestParsers:
         assert _parse_outcome(parse_matrix_text, text) == _parse_outcome(
             brute_parse_matrix_text, text
         )
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_first_content_line_is_the_parsers(self, brk):
+        # the sniff splits prefixes; a comment or a break may straddle their ends
+        for size in (0, 1000, 1021, 1022, 1023, 1024, 5000, 17000):
+            for head in ("#" * size + brk, " " * size + brk, "#" * size + "\r", "\n" * size):
+                for body in (f"3 # c{brk}0 1 1", "labels: a b", "", "# c" + brk):
+                    text = head + brk + "\x0c" + body
+                    expected = next(metric._content_lines(text), (0, ""))[1]
+                    assert metric._first_content_line(text) == expected
 
     def test_edge_list(self):
         graph = parse_edge_list_text("# c\na b 2\nb c 1.5\n")

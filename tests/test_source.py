@@ -107,6 +107,66 @@ def test_every_tolerance_failure_states_its_value_and_threshold():
     assert sorted(where for where, ok in raises.items() if not ok) == []
 
 
+def _numeric_literal(node: ast.expr | None) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def nonliteral_powers(source: str) -> list[tuple[str, int]]:
+    """The innermost enclosing function ("" at module level) and the line of
+    each power whose exponent is not a numeric literal: ``**``, ``**=``,
+    ``pow``, ``math.pow`` and ``np.power``."""
+    tree = ast.parse(source)
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            exponent = node.right
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
+            exponent = node.value
+        elif isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "pow"
+            or isinstance(node.func, ast.Attribute) and node.func.attr in ("pow", "power")
+        ):
+            exponent = node.args[1] if len(node.args) > 1 else None
+        else:
+            continue
+        if not _numeric_literal(exponent):
+            owners = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            found.append((max(owners, key=lambda f: f.lineno).name if owners else "", node.lineno))
+    return sorted(found, key=lambda where: where[1])
+
+
+def test_nonliteral_powers_are_found():
+    source = (
+        "import math\nimport numpy as np\n"
+        "def f(x, p):\n"
+        "    y = x ** 2 + x ** -0.5 + pow(x, 3) + np.power(x, 2.0) + x ** 1e3\n"
+        "    y **= p\n"
+        "    return y ** p + pow(x, p) + math.pow(x, p) + np.power(x, p)\n"
+        "def g(x):\n"
+        "    def h(q):\n"
+        "        return x ** q\n"
+        "    return h(2.0)\n"
+        "z = 2 ** len('ab')\n"
+    )
+    assert nonliteral_powers(source) == [
+        ("f", 5), ("f", 6), ("f", 6), ("f", 6), ("f", 6), ("h", 9), ("", 11)
+    ]
+
+
+def test_every_power_of_a_distance_is_the_array_power():
+    # metric._powers is numpy's array power, which builds D_p; Python's and a
+    # numpy scalar's power differ from it in the last bit on some distances
+    found = [
+        (p.name, function)
+        for p in sorted(PACKAGE.glob("*.py"))
+        for function, _ in nonliteral_powers(p.read_text(encoding="utf-8"))
+    ]
+    assert found == [("metric.py", "_powers")]
+
+
 def test_unused_imports_are_found():
     source = (
         "from __future__ import annotations\n"

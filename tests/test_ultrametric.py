@@ -353,6 +353,27 @@ class TestRecursiveBounds:
                 recursive_gap_bounds(metric_space, p)
         assert np.isfinite(recursive_gap_bounds(space(1.0, 1e154), 1.99).splits[0].denominator)
 
+    def test_every_power_is_its_p_distance_entry(self, corpus):
+        # the tree pass raises each split distance to p as D_p does, bit for bit
+        checked = 0
+        for space in corpus[:40]:
+            index = {label: i for i, label in enumerate(space.labels)}
+            splits = [node for node in decompose(space).walk() if not node.is_leaf]
+            for p in (1.5, 2.5, 3.0, 7.3):
+                entries = dp_of(space, p).entries
+                rec = recursive_gap_bounds(space, p)
+                for leaf in rec.leaves:
+                    if leaf.size > 1:
+                        entry = entries[index[leaf.labels[0]], index[leaf.labels[1]]]
+                        assert leaf.gamma == entry * gamma_discrete(leaf.size)
+                        checked += 1
+                for term, node in zip(rec.splits, splits, strict=True):
+                    left, right = node.children
+                    entry = entries[left.indices[0], right.indices[0]]
+                    assert term.alpha_cap == term.size / entry
+                    checked += 1
+        assert checked == 660
+
     def test_alpha_cap_bound_per_node(self, corpus):
         for space in corpus[:40]:
             for p in (0.5, 2.0):
