@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -195,13 +196,13 @@ def _check_exponent(p: float) -> None:
 def _powers(distances, p: float, headroom: float = 1.0) -> np.ndarray:
     """numpy's array power ``distances ** p``: the only power of a distance in
     the package, so each d^p equals its D_p entry bit for bit (a numpy scalar
-    power or Python's ``**`` differs in the last bit on about 5 % of pairs).
+    power or Python's ``**`` differs in the last bit on about 5 % of (d, p)).
     Raises ValueError when ``headroom * d^p`` overflows, or when the power of
     a positive distance underflows to zero."""
     d = np.asarray(distances, dtype=np.float64)
     with np.errstate(over="ignore"):
         powers = d**p
-    if not np.isfinite(headroom * float(powers.max(initial=0.0))):  # powers are >= 0
+    if not isfinite(headroom * float(powers.max(initial=0.0))):  # powers are >= 0
         raise ValueError(f"distance powers overflow at exponent {p}")
     if (powers[d > 0.0] == 0.0).any():
         raise ValueError(f"distance powers underflow to zero at exponent {p}")
