@@ -20,7 +20,7 @@ from . import gap as gap_mod
 from . import glue as glue_mod
 from . import ultrametric as ultra_mod
 from .errors import NegTypeError, ToleranceFailure
-from .gap import CONTAINMENT_RTOL
+from .gap import _check_containment
 from .metric import (
     FiniteMetricSpace,
     _check_exponent,
@@ -67,16 +67,6 @@ def _finite_or_null(x: float) -> float | None:
 def _fmt_or_inf(x: float | None) -> str:
     """The text form of a report value that ``_finite_or_null`` wrote."""
     return "inf" if x is None else _fmt(x)
-
-
-def _check_containment(gamma: float, lower: float, upper: float, bounds: str) -> None:
-    """Raise ToleranceFailure unless the exact gamma lies in the printed
-    [lower, upper], within ``CONTAINMENT_RTOL`` relatively."""
-    if not lower * (1.0 - CONTAINMENT_RTOL) <= gamma <= upper * (1.0 + CONTAINMENT_RTOL):
-        raise ToleranceFailure(
-            f"exact gamma {_fmt(gamma)} lies outside its {bounds}"
-            f" [{_fmt(lower)}, {_fmt(upper)}], relative slack {CONTAINMENT_RTOL:g}"
-        )
 
 
 def _space_echo(space: FiniteMetricSpace) -> dict:

@@ -384,8 +384,9 @@ def gap_exact(dp: PDistanceMatrix, cap: int = DEFAULT_ENUMERATION_CAP) -> GapRes
     (see _sign_maximum). ``evaluated`` counts the sign vectors whose value was
     computed. Non-strict spaces of negative type report exactly 0; single
     points are unbounded. a = e_x - e_y gives gamma <= d(x, y)^p, so a gamma
-    above min(min d^p, ``upper_bound_mean``) (1 + CONTAINMENT_RTOL) comes
-    from an inaccurate hat matrix and raises ToleranceFailure for every caller.
+    outside the definition bound [0, min(min d^p, ``upper_bound_mean``)]
+    (``_check_containment``) comes from an inaccurate hat matrix and raises
+    ToleranceFailure for every caller.
     """
     cert = dp.certificate
     n = dp.n
@@ -403,11 +404,7 @@ def gap_exact(dp: PDistanceMatrix, cap: int = DEFAULT_ENUMERATION_CAP) -> GapRes
         raise ToleranceFailure(f"sign maximum {beta:.3g} on a strict space is not above 0")
     gamma = 2.0 / beta
     bound = min(float(dp.entries[dp.entries > 0].min()), upper_bound_mean(dp))
-    if not gamma <= bound * (1.0 + CONTAINMENT_RTOL):
-        raise ToleranceFailure(
-            f"exact gamma {gamma:.12g} exceeds its upper bound {bound:.12g},"
-            f" relative slack {CONTAINMENT_RTOL:g}"
-        )
+    _check_containment(gamma, 0.0, bound, "definition bound")
     return GapResult(
         gamma=gamma,
         beta=beta,
@@ -415,6 +412,18 @@ def gap_exact(dp: PDistanceMatrix, cap: int = DEFAULT_ENUMERATION_CAP) -> GapRes
         method=GapMethod.SIGN_ENUMERATION,
         evaluated=evaluated,
     )
+
+
+def _check_containment(gamma: float, lower: float, upper: float, bounds: str) -> None:
+    """Raise ToleranceFailure unless the exact ``gamma`` lies in [lower, upper]
+    within the relative slack ``CONTAINMENT_RTOL`` at both ends: the one
+    containment test of every exact gap, against its definition bound here
+    and the recursive, glue and oracle bounds in the CLI."""
+    if not lower * (1.0 - CONTAINMENT_RTOL) <= gamma <= upper * (1.0 + CONTAINMENT_RTOL):
+        raise ToleranceFailure(
+            f"exact gamma {gamma:.12g} lies outside its {bounds}"
+            f" [{lower:.12g}, {upper:.12g}], relative slack {CONTAINMENT_RTOL:g}"
+        )
 
 
 def gap_definition_check(dp: PDistanceMatrix, gamma: float, x) -> bool:

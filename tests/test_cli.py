@@ -166,8 +166,8 @@ class TestAnalyze:
             code, out, err = run(capsys, "analyze", path, *extra)
             assert (code, out) == (3, "")
             assert err == (
-                "error: exact gamma 1.25260522501e-293 exceeds its upper bound 1e-308,"
-                " relative slack 1e-09\n"
+                "error: exact gamma 1.25260522501e-293 lies outside its definition bound"
+                " [0, 1e-308], relative slack 1e-09\n"
             )
 
     def test_blas_thread_count_does_not_change_output(self, tmp_path):
@@ -274,8 +274,8 @@ class TestGlue:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err == (
-            "error: exact gamma 1.25260522501e-293 exceeds its upper bound 1e-308,"
-            " relative slack 1e-09\n"
+            "error: exact gamma 1.25260522501e-293 lies outside its definition bound"
+            " [0, 1e-308], relative slack 1e-09\n"
         )
 
     def test_exact_glued_gap_outside_its_bounds_exits_three(self, capsys, monkeypatch):
@@ -390,8 +390,8 @@ class TestUltra:
             code, out, err = run(capsys, "ultra", "bounds", path, *extra)
             assert (code, out) == (3, "")
             assert err == (
-                "error: exact gamma 1.25260522501e-293 exceeds its upper bound 1e-308,"
-                " relative slack 1e-09\n"
+                "error: exact gamma 1.25260522501e-293 lies outside its definition bound"
+                " [0, 1e-308], relative slack 1e-09\n"
             )
 
     def test_exact_gap_outside_its_recursive_bounds_exits_three(self, capsys, monkeypatch):

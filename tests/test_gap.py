@@ -485,14 +485,19 @@ class TestGapExact:
         # a = e_a - e_b bounds gamma by d(a, b) = 1e-308; the hat matrix of
         # this valid ultrametric is inaccurate, and its sign maximum gives 1.25e-293
         space = validate_metric(["a", "b", "e"], [[0, 1e-308, 1], [1e-308, 0, 1], [1, 1, 0]])
-        message = "exact gamma 1.25260522501e-293 exceeds its upper bound 1e-308, relative slack 1e-09"
+        message = (
+            "exact gamma 1.25260522501e-293 lies outside its definition bound [0, 1e-308],"
+            " relative slack 1e-09"
+        )
         with pytest.raises(ToleranceFailure, match=f"^{re.escape(message)}$"):
             gap_exact(dp_of(space))
 
     def test_gap_above_the_mean_bound_fails(self, monkeypatch):
         # the discrete 3-point gap 0.75 equals its mean bound; a bound of 0.5 is below it
         monkeypatch.setattr(gap, "upper_bound_mean", lambda dp: 0.5)
-        message = "exact gamma 0.75 exceeds its upper bound 0.5, relative slack 1e-09"
+        message = (
+            "exact gamma 0.75 lies outside its definition bound [0, 0.5], relative slack 1e-09"
+        )
         with pytest.raises(ToleranceFailure, match=f"^{re.escape(message)}$"):
             gap_exact(dp_of(discrete_space(3)))
 
