@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import inf, log
+from math import inf, isinf, ldexp, log
 
 import numpy as np
 
@@ -50,13 +50,20 @@ def upper_bound_mean(dp: PDistanceMatrix) -> float:
     """Mean off-diagonal entry of D_p times the discrete-space gap.
 
     An upper bound on the gap of any space of p-negative type; tight exactly
-    on discrete spaces.
+    on discrete spaces. A sum of the entries above the float range is taken
+    again over the entries scaled by a power of two, so the mean stays finite
+    and equals ``off.mean()`` wherever that is.
     """
     n = dp.n
     if n < 2:
         raise TooFewPoints("the mean bound needs at least two points")
     off = dp.entries[~np.eye(n, dtype=bool)]
-    return float(off.mean()) * gamma_discrete(n)
+    with np.errstate(over="ignore"):
+        mean = float(off.mean())
+    if isinf(mean):
+        shift = off.size.bit_length()
+        mean = ldexp(float(np.ldexp(off, -shift).mean()), shift)
+    return mean * gamma_discrete(n)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
             gap_report["z_star"] = [int(v) for v in result.z_star]
         if args.oracle and cert.strict:
             oracle = gap_mod.gap_numeric_oracle(dp, seed=args.seed)
+            _check_containment(result.gamma, 0.0, oracle.gamma, "oracle bound")
             gap_report["oracle_gamma"] = _finite_or_null(oracle.gamma)
             gap_report["oracle_restarts"] = oracle.restarts
         report["gap"] = gap_report

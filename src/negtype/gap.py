@@ -215,9 +215,10 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
 
 
 def _check_u_p(entries: np.ndarray, u_p: np.ndarray, m_p: float) -> None:
-    residual = float(np.abs(entries @ u_p - m_p).max())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual fails below
+        residual = float(np.abs(entries @ u_p - m_p).max())
     limit = 1e-8 * max(abs(m_p), 1e-300)
-    if residual > limit:
+    if not residual <= limit:
         raise ToleranceFailure(f"u_p residual {residual:.3g} exceeds limit {limit:.3g}")
     if abs(float(u_p.sum()) - 1.0) > 1e-10:
         raise ToleranceFailure(f"u_p sums to {u_p.sum():.17g}, off 1 by more than limit 1e-10")

@@ -177,13 +177,15 @@ def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
     if excess > tol:
         # d[i,j] <= d[i,k] + d[k,j] for all triples, vectorized over (j, k) for
         # a block of rows i; d is exactly symmetric here, so d[k,j] == d[j,k].
+        # A sum above the float range is an infinite slack, which holds.
         rows = max(1, (1 << 17) // (n * n))  # blocks of at most 1 MB
-        for start in range(0, n, rows):
-            block = d[start : start + rows]
-            slack = block[:, None, :] + d[None, :, :] - block[:, :, None]  # (i, j, k)
-            if slack.min() < -tol:
-                i, j, k = map(int, np.argwhere(slack < -tol)[0])
-                raise TriangleViolation(start + i, j, k)
+        with np.errstate(over="ignore"):
+            for start in range(0, n, rows):
+                block = d[start : start + rows]
+                slack = block[:, None, :] + d[None, :, :] - block[:, :, None]  # (i, j, k)
+                if slack.min() < -tol:
+                    i, j, k = map(int, np.argwhere(slack < -tol)[0])
+                    raise TriangleViolation(start + i, j, k)
     return space
 
 

@@ -5,6 +5,7 @@ from math import inf
 import numpy as np
 import pytest
 
+from helpers import random_euclidean, random_ultrametric
 from negtype import (
     averaging_identity,
     discrete_space,
@@ -61,6 +62,23 @@ class TestMeanBound:
     def test_two_point(self):
         space = scale_space(discrete_space(2), 2.0)
         assert upper_bound_mean(dp_of(space)) == pytest.approx(2.0, abs=1e-12)
+
+    def test_sum_above_the_float_range(self):
+        # the two entries sum to 2e308, above the float range; the mean is 1e308
+        space = validate_metric(["a", "b"], [[0, 1e308], [1e308, 0]])
+        assert upper_bound_mean(dp_of(space)) == 1e308
+        many = scale_space(discrete_space(20), 1e308)
+        assert upper_bound_mean(dp_of(many)) == pytest.approx(
+            1e308 * gamma_discrete(20), rel=1e-15, abs=0.0
+        )
+
+    def test_equals_the_plain_mean_where_finite(self, example78):
+        rng = np.random.default_rng(3)
+        for space in (example78, random_euclidean(rng, 9), random_ultrametric(rng, 12)):
+            for p in (0.5, 1.0, 1.5, 7.3):
+                dp = dp_of(space, p)
+                off = dp.entries[~np.eye(dp.n, dtype=bool)]
+                assert upper_bound_mean(dp) == float(off.mean()) * gamma_discrete(dp.n)
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints, match="the mean bound needs at least two points"):

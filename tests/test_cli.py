@@ -201,6 +201,43 @@ class TestAnalyze:
                 assert code == 0
                 assert gap["oracle_gamma"] == pytest.approx(gap["gamma"], rel=1e-12, abs=0.0)
 
+    def test_oracle_below_the_exact_gap_exits_three(self, capsys, monkeypatch):
+        # the oracle's gamma bounds the gap from above; one that undercuts
+        # the exact gap 0.387 leaves it outside [0, oracle]
+        real = gap.gap_numeric_oracle
+        monkeypatch.setattr(
+            gap, "gap_numeric_oracle",
+            lambda *args, **kwargs: replace(real(*args, **kwargs), gamma=0.25),
+        )
+        code, out, err = run(capsys, "analyze", DATA / "example_matrix.txt", "--oracle")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: exact gamma 0.387045813586 lies outside its oracle bound"
+            " [0, 0.25], relative slack 1e-09\n"
+        )
+
+    def test_mean_of_entries_summing_above_the_float_range(self, capsys, tmp_path):
+        # 1e308 + 1e308 overflows; the mean bound is 1e308 and the report strict JSON
+        path = tmp_path / "big.txt"
+        path.write_text("2\n0 1e308\n1e308 0\n")
+        code, out, err = run(capsys, "analyze", path, "--cap", "1", "--json")
+        assert (code, err) == (0, "")
+        gap_report = json.loads(out, parse_constant=_refuse)["gap"]
+        assert gap_report["mean_bound"] == gap_report["upper"] == 1e308
+        code, out, err = run(capsys, "analyze", path, "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out, parse_constant=_refuse)["gap"]["gamma"] == 1e308
+
+    @pytest.mark.parametrize("command", [["analyze"], ["ultra", "bounds"]])
+    def test_failed_u_p_check_prints_one_line(self, capsys, tmp_path, command):
+        # at p = 250 the products D_p u_p overflow; the check refuses the
+        # infinite residual with no numpy warning
+        path = tmp_path / "u3.txt"
+        path.write_text("3\n0 4 9\n4 0 9\n9 9 0\n")
+        code, out, err = run(capsys, *command, path, "--p", "250")
+        assert (code, out) == (3, "")
+        assert err == "error: u_p residual inf exceeds limit 3.64e+230\n"
+
 
 class TestGlue:
     def test_two_pairs(self, capsys):

@@ -15,6 +15,7 @@ from helpers import (
     caterpillar,
     example_space,
     line_space,
+    random_dendrogram,
     random_euclidean,
     random_graph_metric,
     random_ultrametric,
@@ -196,6 +197,14 @@ class TestCertify:
         )
         with pytest.raises(ToleranceFailure, match=r"witness form value -\S+ is not above limit 0"):
             certify(dp_of(K23, 1.0))
+
+    def test_nan_u_p_residual_fails_its_own_check(self):
+        # at p = 102 the products D_p u_p of this 30-point ultrametric overflow
+        # and cancel to NaN; the residual check refuses it, not the sum check
+        d = random_dendrogram(np.random.default_rng(1), 30, lo=500, hi=1000)
+        dp = dp_of(validate_metric([f"x{i}" for i in range(30)], d), 102.0)
+        with pytest.raises(ToleranceFailure, match=r"^u_p residual nan exceeds limit \S+$"):
+            certify(dp)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_singular_crossing_has_no_b(self, seed):

@@ -81,6 +81,15 @@ class TestValidateMetric:
             validate_metric(["a", "b", "c"], [[0, 1, 3], [1, 0, 1], [3, 1, 0]])
         assert (err.value.i, err.value.j, err.value.k) == (0, 2, 1)
 
+    def test_triangle_sums_above_the_float_range(self):
+        # 1e308 + 1.5e308 overflows to an infinite slack, which holds; the
+        # suite turns numpy's overflow warning into an error
+        big = validate_metric("abc", [[0, 1e308, 1.5e308], [1e308, 0, 1e308], [1.5e308, 1e308, 0]])
+        assert big.dist[0, 2] == 1.5e308
+        with pytest.raises(TriangleViolation) as err:
+            validate_metric("abc", [[0, 5e307, 1.7e308], [5e307, 0, 5e307], [1.7e308, 5e307, 0]])
+        assert (err.value.i, err.value.j, err.value.k) == (0, 2, 1)
+
     def test_asymmetric(self):
         with pytest.raises(AsymmetricMatrix):
             validate_metric(["a", "b"], [[0, 1], [2, 0]])

@@ -91,6 +91,7 @@ def test_tolerance_messages_are_checked():
         "            f' [0, 1], relative slack {1e-9:g}'\n"
         "        ) from None\n"
         "    raise ValueError(f'x {x} is above its bound')\n"
+        "try:\n    f(0, 1)\nexcept ToleranceFailure as exc:\n    print(exc)\n"
     )
     assert tolerance_messages(source) == [
         (3, True), (5, False), (7, False), (9, False), (11, True)
@@ -105,6 +106,39 @@ def test_every_tolerance_failure_states_its_value_and_threshold():
     }
     assert len(raises) >= 11
     assert sorted(where for where, ok in raises.items() if not ok) == []
+
+
+def test_the_cli_raises_no_tolerance_failure():
+    # every exit 3 is decided by a check of the library
+    assert tolerance_messages((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def reads_or_imports(source: str, name: str) -> bool:
+    """Whether a source reads ``name`` (as a name or an attribute) or imports it."""
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    return name in names_read(source) | imported
+
+
+def test_reads_and_imports_are_found():
+    assert reads_or_imports("from .gap import CONTAINMENT_RTOL\n", "CONTAINMENT_RTOL")
+    assert reads_or_imports("x = gap.CONTAINMENT_RTOL\n", "CONTAINMENT_RTOL")
+    assert reads_or_imports("def f(x):\n    return x * CONTAINMENT_RTOL\n", "CONTAINMENT_RTOL")
+    assert not reads_or_imports("CONTAINMENT_RTOL = 1e-9\n", "CONTAINMENT_RTOL")
+    assert not reads_or_imports("RTOL = 1e-9\nx = 'CONTAINMENT_RTOL'\n", "CONTAINMENT_RTOL")
+
+
+def test_only_gap_reads_the_containment_slack():
+    # gap._check_containment is the one containment test of an exact gap
+    readers = [
+        p.name for p in sorted(PACKAGE.glob("*.py"))
+        if reads_or_imports(p.read_text(encoding="utf-8"), "CONTAINMENT_RTOL")
+    ]
+    assert readers == ["gap.py"]
 
 
 def _numeric_literal(node: ast.expr | None) -> bool:
