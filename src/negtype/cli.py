@@ -3,7 +3,9 @@
 stdout carries the report (human text, or one line of JSON with ``--json``);
 stderr carries diagnostics. Exit codes: 0 success, 1 invalid input or usage,
 2 the space is not of p-negative type (a witness is printed), 3 an internal
-tolerance check failed.
+tolerance check failed. Each command runs its BLAS and LAPACK calls on one
+thread (``spectral._one_blas_thread``), so its numbers do not depend on
+``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .metric import (
     ultrametric_from_graph,
     validate_metric,
 )
+from .spectral import _one_blas_thread
 from .ultrametric import _fmt
 
 EXIT_OK = 0
@@ -455,7 +458,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.cap < 1:
             raise ValueError(f"--cap must be at least 1, got {args.cap}")
         started = time.perf_counter()
-        report, exit_code = handler(args)
+        with _one_blas_thread():
+            report, exit_code = handler(args)
         report["timing_seconds"] = time.perf_counter() - started
         if args.json:
             print(json.dumps(report))

@@ -126,21 +126,24 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
     ``zero_tol`` (units of d^p), (b | 1) with 1e-9 ||b||_1 (units of 1/d^p),
     and the residual of D_p b = 1 with 1e-9 ||1||.
 
-    D_p is decomposed here once: one eigendecomposition, and one solve
-    ``spectral.lu_factor`` for b when D_p is ultrametric or nonsingular; no
-    inverse is formed. A singular D_p takes the least-residual b from the
-    eigenpairs, with components under ``zero_tol`` dropped.
+    The classification reads the eigenvalues of D_p alone
+    (``sym_eigen(vectors=False)``), and b comes from one solve
+    ``spectral.lu_factor`` when D_p is ultrametric or nonsingular; no inverse
+    is formed. Two paths read eigenvectors, from one eigendecomposition whose
+    eigenpairs they use together: a singular D_p takes the least-residual b,
+    with components under that decomposition's ``zero_tol`` dropped, and a
+    space not of negative type takes its witness.
 
-    A space not of negative type gets its witness from the same eigenpairs:
-    with v the top eigenvector and y = b when b exists (then (b | 1) < 0),
-    else the next eigenvector, w = (1|y) v - (1|v) y, mean-subtracted,
-    divided by ||w||_1 and signed so that its largest-magnitude entry is
-    positive. D_p has positive off-diagonal entries, so v is a Perron vector
-    with (1|v) != 0, and (D_p w | w) is (1|y)^2 lambda_n - (1|y)(1|v)^2 > 0
-    for y = b, or (1|y)^2 lambda_n + (1|v)^2 lambda_{n-1} for the next
-    eigenvector: positive when lambda_{n-1} > 0, and about (1|y)^2 lambda_n
-    when D_p is singular with 1 outside its range. A form that is not
-    positive raises ToleranceFailure, so a witness is always a witness.
+    With v the top eigenvector and y = b when b exists (then (b | 1) < 0),
+    else the next eigenvector, the witness is w = (1|y) v - (1|v) y,
+    mean-subtracted, divided by ||w||_1 and signed so that its
+    largest-magnitude entry is positive. D_p has positive off-diagonal
+    entries, so v is a Perron vector with (1|v) != 0, and (D_p w | w) is
+    (1|y)^2 lambda_n - (1|y)(1|v)^2 > 0 for y = b, or (1|y)^2 lambda_n +
+    (1|v)^2 lambda_{n-1} for the next eigenvector: positive when
+    lambda_{n-1} > 0, and about (1|y)^2 lambda_n when D_p is singular with 1
+    outside its range. A form that is not positive raises ToleranceFailure,
+    so a witness is always a witness.
     """
     n = dp.n
     if n == 1:
@@ -153,20 +156,22 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
         )
 
     entries = dp.entries
-    spectrum = spectral.sym_eigen(entries)
-    lam, vectors, ztol = spectrum.eigenvalues, spectrum.eigenvectors, spectrum.zero_tol
+    spectrum = spectral.sym_eigen(entries, vectors=False)
+    lam, ztol = spectrum.eigenvalues, spectrum.zero_tol
     lam_penult = float(lam[-2])
     lam_max = float(lam[-1])
     ultrametric = is_ultrametric(dp.source)
     nonsingular = ultrametric or bool(np.abs(lam).min() > ztol)
-    b = b_dot_one = None
+    pairs = b = b_dot_one = None  # pairs: the eigendecomposition, made only where read
 
     # negative type needs a single significantly positive eigenvalue and a b
     if ultrametric or (lam_max > ztol and lam_penult <= ztol):
         if nonsingular:
             b = spectral.lu_factor(entries)
         else:
-            inv = np.where(np.abs(lam) < ztol, 0.0, 1.0 / np.where(lam == 0.0, 1.0, lam))
+            pairs = spectral.sym_eigen(entries)
+            mu, vectors = pairs.eigenvalues, pairs.eigenvectors
+            inv = np.where(np.abs(mu) < pairs.zero_tol, 0.0, 1.0 / np.where(mu == 0.0, 1.0, mu))
             b = vectors @ ((vectors.T @ np.ones(n)) * inv)
             residual = float(np.linalg.norm(entries @ b - np.ones(n)))
             if not residual <= spectral.ZERO_TOL_FACTOR * np.sqrt(n):
@@ -180,6 +185,9 @@ def certify(dp: PDistanceMatrix) -> NegTypeCertificate:
     strict_spectrum = lam_penult < -ztol and nonsingular
     if b is None or b_dot_one < -btol:
         classification = Classification.NOT_NEGATIVE_TYPE
+        if pairs is None:
+            pairs = spectral.sym_eigen(entries)
+        vectors = pairs.eigenvectors
         v, y = vectors[:, -1], vectors[:, -2] if b is None else b
         w = y.sum() * v - v.sum() * y
         w -= w.mean()

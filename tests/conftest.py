@@ -40,29 +40,28 @@ def spanning_tree_calls(monkeypatch):
 
 @pytest.fixture
 def factorization_calls(monkeypatch):
-    """Calls of ``spectral.sym_eigen`` and ``spectral.lu_factor`` during the
-    test, and under ``"inv"`` the calls of ``numpy.linalg.inv`` by matrix size,
-    so that an inverse of D_p (n x n) and the oracle's bordered inverse
-    ((n + 1) x (n + 1)) are told apart."""
-    calls = {"sym_eigen": 0, "lu_factor": 0, "inv": Counter()}
+    """Calls of ``spectral.sym_eigen`` during the test, values-only ones under
+    ``"eigenvalues"`` and those with eigenvectors under ``"eigenpairs"``; the
+    calls of ``spectral.lu_factor``; and under ``"inv"`` the calls of
+    ``numpy.linalg.inv`` by matrix size, so that an inverse of D_p (n x n) and
+    the oracle's bordered inverse ((n + 1) x (n + 1)) are told apart."""
+    calls = {"eigenvalues": 0, "eigenpairs": 0, "lu_factor": 0, "inv": Counter()}
+    real_eigen, real_lu, real_inv = spectral.sym_eigen, spectral.lu_factor, np.linalg.inv
 
-    def counting(name):
-        real = getattr(spectral, name)
+    def sym_eigen(a, *, vectors=True):
+        calls["eigenpairs" if vectors else "eigenvalues"] += 1
+        return real_eigen(a, vectors=vectors)
 
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
-
-        return counted
-
-    for name in ("sym_eigen", "lu_factor"):
-        monkeypatch.setattr(spectral, name, counting(name))
-    real_inv = np.linalg.inv
+    def lu_factor(a):
+        calls["lu_factor"] += 1
+        return real_lu(a)
 
     def inv(a):
         calls["inv"][np.shape(a)[0]] += 1
         return real_inv(a)
 
+    monkeypatch.setattr(spectral, "sym_eigen", sym_eigen)
+    monkeypatch.setattr(spectral, "lu_factor", lu_factor)
     monkeypatch.setattr(np.linalg, "inv", inv)
     return calls
 

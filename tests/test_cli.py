@@ -29,18 +29,20 @@ def run(capsys, *argv):
 
 class TestAnalyze:
     @pytest.mark.parametrize(
-        "name, p, lu_calls, inverses",
+        "name, p, eigenpairs, lu_calls, inverses",
         [
-            pytest.param("example_matrix.txt", 1.0, 1, {7: 1}, id="example_matrix.txt"),
-            pytest.param("line3.txt", 1.0, 1, {3: 1}, id="line3.txt"),
-            pytest.param("single_point.txt", 1.0, 0, {}, id="single_point.txt"),
-            pytest.param("line3.txt", 2.0, 1, {}, id="line3.txt-p2-boundary"),
-            pytest.param("collinear6.txt", 2.0, 0, {}, id="collinear6-p2-singular"),
+            pytest.param("example_matrix.txt", 1.0, 0, 1, {7: 1}, id="example_matrix.txt"),
+            pytest.param("line3.txt", 1.0, 0, 1, {3: 1}, id="line3.txt"),
+            pytest.param("single_point.txt", 1.0, 0, 0, {}, id="single_point.txt"),
+            pytest.param("line3.txt", 2.0, 0, 1, {}, id="line3.txt-p2-boundary"),
+            pytest.param("collinear6.txt", 2.0, 1, 0, {}, id="collinear6-p2-singular"),
         ],
     )
     def test_one_eigendecomposition_feeds_the_spectrum(
-        self, capsys, tmp_path, factorization_calls, name, p, lu_calls, inverses
+        self, capsys, tmp_path, factorization_calls, name, p, eigenpairs, lu_calls, inverses
     ):
+        # the spectrum comes from one values-only call; only the least-residual
+        # b of a singular D_p reads eigenvectors
         path = DATA / name
         if name == "collinear6.txt":
             path = tmp_path / name
@@ -49,10 +51,12 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", path, "--json", "--p", p)
         assert code == 0
         dp = p_distance_matrix(_load_matrix_space(str(path)), p)
-        sym_eigen = 1 if dp.n > 1 else 0
-        assert factorization_calls == {"sym_eigen": sym_eigen, "lu_factor": lu_calls, "inv": inverses}
+        eigenvalues = 1 if dp.n > 1 else 0
+        assert factorization_calls == {"eigenvalues": eigenvalues, "eigenpairs": eigenpairs,
+                                       "lu_factor": lu_calls, "inv": inverses}
         report = json.loads(out)
-        assert report["spectrum"] == [float(v) for v in spectral.sym_eigen(dp.entries).eigenvalues]
+        spectrum = spectral.sym_eigen(dp.entries, vectors=False).eigenvalues
+        assert report["spectrum"] == [float(v) for v in spectrum]
         expected = "StrictNegativeType" if p == 1.0 else "NegativeTypeNonStrict"
         assert report["certificate"]["classification"] == expected
         assert report["certificate"]["boundary_warning"] is (name == "line3.txt" and p == 2.0)
@@ -81,12 +85,26 @@ class TestAnalyze:
         assert out == ""
 
     def test_eigensolver_failure_exits_one(self, capsys, monkeypatch):
-        def fails(a):
+        # every certificate calls eigvalsh; the witness of line3 at p = 3 calls eigh
+        def fails(a, *args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fails)
-        code, out, err = run(capsys, "analyze", DATA / "example_matrix.txt", "--json")
-        assert (code, out, err) == (1, "", "error: Eigenvalues did not converge\n")
+        for solver, name, p in (("eigvalsh", "example_matrix.txt", "1"), ("eigh", "line3.txt", "3")):
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, solver, fails)
+                code, out, err = run(capsys, "analyze", DATA / name, "--json", "--p", p)
+            assert (code, out, err) == (1, "", "error: Eigenvalues did not converge\n")
+
+    def test_eigenvalue_outside_the_float_range_exits_one(self, capsys, tmp_path):
+        # a valid metric whose top eigenvalue, about 2.35e308, is inf: refused
+        # as input, as a distance power that overflows is, not a witness check
+        path = tmp_path / "near_float_max.txt"
+        path.write_text("3\n0 1e308 1.5e308\n1e308 0 1e308\n1.5e308 1e308 0\n")
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, "analyze", path, *extra)
+            assert (code, out) == (1, "")
+            assert err == ("error: eigenvalue inf of the 3x3 matrix is not finite;"
+                           " largest |entry| 1.5e+308\n")
 
     def test_not_negative_type_exits_two_with_witness(self, capsys):
         code, out, _ = run(capsys, "analyze", DATA / "line3.txt", "--p", "3")
@@ -172,14 +190,20 @@ class TestAnalyze:
 
     def test_blas_thread_count_does_not_change_output(self, tmp_path):
         # n = 24 has the largest enumeration tables under the default cap; at
-        # p = 3 line3 and the n = 20 space are not of negative type and get a witness
+        # p = 3 line3 and the n = 20 space are not of negative type and get a
+        # witness. At n = 150 and 192 two OpenBLAS threads would change the
+        # last bits of the spectrum, lambda_penultimate, m_p and the bounds.
         src = str(Path(negtype.__file__).resolve().parent.parent)
         cases = [(DATA / "line3.txt", "3")]
-        for n, ps in ((20, ("1", "1.5", "3")), (24, ("1", "1.5"))):
-            space = random_euclidean(np.random.default_rng(n), n)
-            path = tmp_path / f"euclidean{n}.txt"
+        for name, space, ps in (
+            ("euclidean20", random_euclidean(np.random.default_rng(20), 20), ("1", "1.5", "3")),
+            ("euclidean24", random_euclidean(np.random.default_rng(24), 24), ("1", "1.5")),
+            ("euclidean150", random_euclidean(np.random.default_rng(150), 150), ("1",)),
+            ("ultrametric192", random_ultrametric(np.random.default_rng(192), 192), ("1",)),
+        ):
+            path = tmp_path / f"{name}.txt"
             rows = "\n".join(" ".join(repr(float(x)) for x in row) for row in space.dist)
-            path.write_text(f"{n}\n{rows}\n")
+            path.write_text(f"{space.n}\n{rows}\n")
             cases += [(path, p) for p in ps]
         for path, p in cases:
             reports = []
@@ -197,6 +221,9 @@ class TestAnalyze:
             if p == "3":
                 assert (code, gap) == (2, None)
                 assert report["witness_form_value"] > 0
+            elif report["input"]["n"] > negtype.gap.DEFAULT_ENUMERATION_CAP:
+                assert (code, gap["mode"]) == (0, "bounds")
+                assert 0 < gap["lower"] <= gap["upper"]
             else:
                 assert code == 0
                 assert gap["oracle_gamma"] == pytest.approx(gap["gamma"], rel=1e-12, abs=0.0)
@@ -369,7 +396,8 @@ class TestUltra:
     def test_bounds_factor_the_matrix_once(self, capsys, factorization_calls):
         code, _, _ = run(capsys, "ultra", "bounds", DATA / "example_graph.txt", "--json")
         assert code == 0
-        assert factorization_calls == {"sym_eigen": 1, "lu_factor": 1, "inv": {7: 1}}
+        assert factorization_calls == {"eigenvalues": 1, "eigenpairs": 0, "lu_factor": 1,
+                                       "inv": {7: 1}}
 
     def test_bounds_json(self, capsys):
         code, out, _ = run(

@@ -179,11 +179,13 @@ class TestCertify:
         assert_witness(dp, cert)
         real = spectral.sym_eigen
 
-        def negated(a):
-            spectrum = real(a)
-            vectors = spectrum.eigenvectors.copy()
-            vectors[:, flipped] *= -1.0
-            return replace(spectrum, eigenvectors=vectors)
+        def negated(a, *, vectors=True):
+            spectrum = real(a, vectors=vectors)
+            if not vectors:
+                return spectrum
+            flipped_vectors = spectrum.eigenvectors.copy()
+            flipped_vectors[:, flipped] *= -1.0
+            return replace(spectrum, eigenvectors=flipped_vectors)
 
         monkeypatch.setattr(spectral, "sym_eigen", negated)
         assert np.array_equal(certify(dp).witness, cert.witness)
@@ -191,10 +193,12 @@ class TestCertify:
     def test_witness_with_a_form_not_above_zero_fails(self, monkeypatch):
         # eigenvectors in the wrong columns make w from two negative directions
         real = spectral.sym_eigen
-        monkeypatch.setattr(
-            spectral, "sym_eigen",
-            lambda a: replace(real(a), eigenvectors=real(a).eigenvectors[:, ::-1]),
-        )
+
+        def reversed_vectors(a, *, vectors=True):
+            spectrum = real(a, vectors=vectors)
+            return replace(spectrum, eigenvectors=spectrum.eigenvectors[:, ::-1]) if vectors else spectrum
+
+        monkeypatch.setattr(spectral, "sym_eigen", reversed_vectors)
         with pytest.raises(ToleranceFailure, match=r"witness form value -\S+ is not above limit 0"):
             certify(dp_of(K23, 1.0))
 
@@ -215,23 +219,30 @@ class TestCertify:
         assert cert.b is None
 
     @pytest.mark.parametrize(
-        "space, p, classification, lu_calls",
+        "space, p, classification, eigenpairs, lu_calls",
         [
-            pytest.param(line_space(), 1.0, "StrictNegativeType", 1, id="strict"),
-            pytest.param(line_space(), 2.0, "NegativeTypeNonStrict", 1, id="boundary"),
-            pytest.param(collinear_space(), 2.0, "NegativeTypeNonStrict", 0,
+            pytest.param(line_space(), 1.0, "StrictNegativeType", 0, 1, id="strict"),
+            pytest.param(line_space(), 2.0, "NegativeTypeNonStrict", 0, 1, id="boundary"),
+            pytest.param(collinear_space(), 2.0, "NegativeTypeNonStrict", 1, 0,
                          id="singular-non-strict"),
-            pytest.param(K23, 1.0, "NotNegativeType", 0, id="two-positive-eigenvalues"),
-            pytest.param(line_space(), 3.0, "NotNegativeType", 1, id="b-dot-one-negative"),
-            pytest.param(*singular_crossing(0), "NotNegativeType", 0, id="singular-without-b"),
-            pytest.param(example_space(), 1.0, "StrictNegativeType", 1, id="ultrametric"),
+            pytest.param(K23, 1.0, "NotNegativeType", 1, 0, id="two-positive-eigenvalues"),
+            pytest.param(line_space(), 3.0, "NotNegativeType", 1, 1, id="b-dot-one-negative"),
+            pytest.param(*singular_crossing(0), "NotNegativeType", 1, 0, id="singular-without-b"),
+            pytest.param(example_space(), 1.0, "StrictNegativeType", 0, 1, id="ultrametric"),
         ],
     )
     def test_one_eigendecomposition_on_every_path(
-        self, factorization_calls, space, p, classification, lu_calls
+        self, factorization_calls, space, p, classification, eigenpairs, lu_calls
     ):
-        assert certify(dp_of(space, p)).classification.value == classification
-        assert factorization_calls == {"sym_eigen": 1, "lu_factor": lu_calls, "inv": {}}
+        # one values-only call classifies; the witness and the singular b read
+        # eigenvectors from one more call
+        dp = dp_of(space, p)
+        cert = certify(dp)
+        assert cert.classification.value == classification
+        assert factorization_calls == {"eigenvalues": 1, "eigenpairs": eigenpairs,
+                                       "lu_factor": lu_calls, "inv": {}}
+        spectrum = spectral.sym_eigen(dp.entries, vectors=False).eigenvalues
+        assert np.array_equal(cert.eigenvalues, spectrum)
 
     def test_single_point(self):
         cert = certify(dp_of(validate_metric(["x"], [[0.0]])))
@@ -428,9 +439,10 @@ class TestHatMatrix:
         # neither solves for b again nor decomposes D_p
         dp = dp_of(example78)
         assert dp.certificate.strict
-        assert factorization_calls == {"sym_eigen": 1, "lu_factor": 1, "inv": {}}
+        counts = {"eigenvalues": 1, "eigenpairs": 0, "lu_factor": 1}
+        assert factorization_calls == {**counts, "inv": {}}
         hat_matrix(dp)
-        assert factorization_calls == {"sym_eigen": 1, "lu_factor": 1, "inv": {7: 1}}
+        assert factorization_calls == {**counts, "inv": {7: 1}}
 
     def test_non_finite_inverse_is_a_tolerance_failure(self):
         # b is finite, but D_p^-1 holds +-1 / 1e-309, which overflows

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from negtype import discrete_space, p_distance_matrix, scale_space, sym_eigen
+import negtype
+from negtype import discrete_space, p_distance_matrix, scale_space, spectral, sym_eigen
+from negtype.cli import main
 from negtype.spectral import lu_factor, refined_solve
 from negtype.errors import DimensionMismatch, NoConvergence, NotSymmetric, ToleranceFailure
 
@@ -58,6 +65,37 @@ def test_eigh_failure_is_no_convergence(monkeypatch):
     with pytest.raises(NoConvergence, match="^Eigenvalues did not converge$") as info:
         sym_eigen(np.ones((3, 3)) - np.eye(3))
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_eigvalsh_failure_is_no_convergence(monkeypatch):
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+    with pytest.raises(NoConvergence, match="^Eigenvalues did not converge$"):
+        sym_eigen(np.ones((3, 3)) - np.eye(3), vectors=False)
+
+
+def test_values_only_spectrum():
+    # the same checks and tolerance, no eigenvectors
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((12, 12))
+    a = 0.5 * (a + a.T)
+    values, pairs = sym_eigen(a, vectors=False), sym_eigen(a)
+    assert values.eigenvectors is None
+    assert np.abs(values.eigenvalues - pairs.eigenvalues).max() <= 1e-3 * pairs.zero_tol
+    assert values.zero_tol == pytest.approx(pairs.zero_tol, rel=1e-12)
+    with pytest.raises(NotSymmetric):
+        sym_eigen([[0.0, 1.0], [2.0, 0.0]], vectors=False)
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_eigenvalue_outside_the_float_range_is_refused(vectors):
+    # a valid metric near the float max: the top eigenvalue, about 2.35e308, is inf
+    a = np.array([[0.0, 1e308, 1.5e308], [1e308, 0.0, 1e308], [1.5e308, 1e308, 0.0]])
+    message = "eigenvalue inf of the 3x3 matrix is not finite; largest |entry| 1.5e+308"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sym_eigen(a, vectors=vectors)
 
 
 def test_scaled_discrete_spectrum_closed_form():
@@ -167,3 +205,57 @@ class TestSolve:
         # the pivots are nonzero, but 1 / 1e-310 overflows: inf in b
         with pytest.raises(ToleranceFailure, match=r"has 1 non-finite entries, limit 0"):
             lu_factor(np.diag([1e-310, 1.0]))
+
+
+class TestOneBlasThread:
+    @pytest.fixture
+    def setter(self):
+        setter = spectral._blas_thread_setter()
+        if setter is None:
+            pytest.skip("numpy carries no OpenBLAS with openblas_set_num_threads_local")
+        return setter
+
+    def test_found_in_the_openblas_numpy_carries(self):
+        # the benchmark runs on this wheel's OpenBLAS: the command line must
+        # find its setter, or it runs on every thread the library starts
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if blas != "scipy-openblas":
+            pytest.skip(f"numpy is built with {blas}")
+        assert spectral._blas_thread_setter() is not None
+
+    def test_importing_looks_up_no_library(self):
+        src = str(Path(negtype.__file__).resolve().parent.parent)
+        code = ("import negtype.cli, negtype.spectral as s;"
+                " print(s._blas_thread_setter.cache_info().currsize)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert done.stdout == "0\n"
+
+    def test_restores_the_count_after_a_normal_exit(self, setter):
+        before = setter(2)  # a count other than 1, so that the restore shows
+        with spectral._one_blas_thread():
+            inside = setter(1)  # returns the count in force and keeps it
+        assert (inside, setter(before)) == (1, 2)
+
+    def test_restores_the_count_after_an_exception(self, setter):
+        before = setter(2)
+        with pytest.raises(ToleranceFailure, match="^inside$"):
+            with spectral._one_blas_thread():
+                inside = setter(1)
+                raise ToleranceFailure("inside")
+        assert (inside, setter(before)) == (1, 2)
+
+    def test_a_command_that_fails_restores_the_count(self, setter, capsys):
+        # an asymmetric file raises inside the handler, as the benchmark's
+        # expected-error requests do
+        before = setter(2)
+        data = Path(__file__).parent / "data"
+        code = main(["analyze", str(data / "asymmetric.txt")])
+        assert (code, setter(before)) == (1, 2)
+        assert "symmetric" in capsys.readouterr().err
+
+    def test_no_setter_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_blas_thread_setter", lambda: None)
+        with spectral._one_blas_thread():
+            spec = sym_eigen([[0.0, 2.0], [2.0, 0.0]], vectors=False)
+        assert np.allclose(spec.eigenvalues, [-2.0, 2.0], atol=1e-12)
