@@ -48,8 +48,6 @@ from .metric import (
     FiniteMetricSpace,
     PDistanceMatrix,
     SpaceStats,
-    WeightedGraph,
-    build_graph,
     discrete_space,
     is_ultrametric,
     p_distance_matrix,

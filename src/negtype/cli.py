@@ -186,14 +186,12 @@ def _render_analyze(report: dict, out) -> None:
     gap_report = report.get("gap")
     if gap_report is None:
         print("gap: undefined (not of p-negative type)", file=out)
-        witness = report.get("witness")
-        if witness is not None:
-            print(
-                "witness (zero-sum, positive form value "
-                f"{_fmt(report['witness_form_value'])}): "
-                + " ".join(_fmt(w) for w in witness),
-                file=out,
-            )
+        print(
+            "witness (zero-sum, positive form value "
+            f"{_fmt(report['witness_form_value'])}): "
+            + " ".join(_fmt(w) for w in report["witness"]),
+            file=out,
+        )
     elif gap_report["mode"] == "exact":
         print(
             f"gap (exact, {gap_report['method']}): gamma = {_fmt_or_inf(gap_report['gamma'])}"
@@ -397,7 +395,7 @@ def _render_ultra(report: dict, out) -> None:
         print(f"gamma in [{_fmt(b['gamma_lower'])}, {_fmt_or_inf(b['gamma_upper'])}]", file=out)
         if "gamma_exact" in report:
             print(f"exact gamma: {_fmt(report['gamma_exact'])}", file=out)
-    if "coteries" in report and "tree" not in report:
+    if "coteries" in report:
         print(f"minimum distance alpha = {_fmt(report['alpha'])}", file=out)
         for ball in report["coteries"]:
             print(f"  coterie: {{{' '.join(ball)}}}", file=out)

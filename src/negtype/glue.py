@@ -37,7 +37,8 @@ from .spectral import refined_solve  # noqa: F401 (unused; bench/test_bench.py p
 
 @dataclass(frozen=True)
 class GlueSpec:
-    """Two disjoint components and the bridging distance c."""
+    """Two disjoint components and the bridging distance c: positive and
+    finite, with 2c at least the larger diameter."""
 
     left: FiniteMetricSpace
     right: FiniteMetricSpace
@@ -46,6 +47,8 @@ class GlueSpec:
     def __post_init__(self):
         if not self.c > 0:
             raise BridgeTooShort(f"bridge distance must be positive, got {self.c}")
+        if self.c == inf:
+            raise BridgeTooShort(f"bridge distance must be finite, got {self.c}")
         max_diam = max(float(self.left.dist.max()), float(self.right.dist.max()))
         if 2.0 * self.c < max_diam:
             raise BridgeTooShort(

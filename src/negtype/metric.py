@@ -9,8 +9,9 @@ Ultrametric structure comes from one O(n^2) minimum spanning tree pass,
 ``_spanning_tree``: the strong-triangle test and the graph minimax distances
 read its subdominant ultrametric, and the decomposition and the coteries in
 ``negtype.ultrametric`` read its edges. Each space runs that pass at most
-once and caches the result; a space built from a graph keeps the tree of the
-pass that computed its minimax distances, and runs none of its own.
+once and caches the result; a space built from a graph (by
+``ultrametric_from_graph``, the one function that reads a graph) keeps the
+tree of the pass that computed its minimax distances, and runs none of its own.
 
 Validation costs O(n^2) when d is within ``METRIC_RTOL * diameter`` of its
 subdominant ultrametric, and O(n^3) otherwise. The subdominant only copies
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite
+from math import inf, isfinite
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -110,29 +111,16 @@ class SpaceStats:
     ratio: float
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Vertex labels and ``(u, v, weight)`` edges. Construction rejects a
-    self-loop and a weight that is not positive (NaN included);
-    ``ultrametric_from_graph`` checks that every endpoint is a vertex and that
-    the graph is connected."""
-
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str, float], ...]
-
-    def __post_init__(self) -> None:
-        for u, v, w in self.edges:
-            if fault := _edge_fault(u, v, w):
-                raise ValueError(fault)
-
-
 def _edge_fault(u: str, v: str, w: float) -> str | None:
     """Why the edge is rejected (a self-loop, or a weight that is not
-    positive, NaN included), or None."""
+    positive and finite, NaN included), or None. The one edge rule of the
+    edge-list parser and of ``ultrametric_from_graph``."""
     if u == v:
         return f"self-loop at vertex {u!r}"
     if not w > 0:
         return f"edge ({u}, {v}) has nonpositive weight {w}"
+    if w == inf:
+        return f"edge ({u}, {v}) has non-finite weight {w}"
     return None
 
 
@@ -190,9 +178,11 @@ def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
 
 
 def _check_exponent(p: float) -> None:
-    """Reject an exponent that is not > 0 (NaN included)."""
+    """Reject an exponent that is not > 0 (NaN included) or not finite."""
     if not p > 0:
         raise NonpositiveExponent(f"exponent must be positive, got {p}")
+    if p == inf:
+        raise ValueError(f"exponent must be finite, got {p}")
 
 
 def _powers(distances, p: float, headroom: float = 1.0) -> np.ndarray:
@@ -289,57 +279,45 @@ def space_stats(space: FiniteMetricSpace) -> SpaceStats:
 
 # ------------------------------------------------------------------ graphs ----
 
-def build_graph(
-    edges: Iterable[tuple[str, str, float]],
-    vertices: Iterable[str] | None = None,
-) -> WeightedGraph:
-    """Assemble a weighted graph; vertices default to first-appearance order.
-    Endpoints become strings and weights floats; ``WeightedGraph`` checks
-    the edges."""
-    edge_list = [(str(u), str(v), float(w)) for u, v, w in edges]
-    given = [] if vertices is None else [str(v) for v in vertices]
-    order = tuple(dict.fromkeys(given + [x for u, v, _ in edge_list for x in (u, v)]))
-    if not order:
-        raise ValueError("graph has no vertices")
-    return WeightedGraph(order, tuple(edge_list))
-
-
-def ultrametric_from_graph(graph: WeightedGraph) -> FiniteMetricSpace:
+def ultrametric_from_graph(
+    edges: Iterable[tuple[str, str, float]], vertices: Iterable[str] = ()
+) -> FiniteMetricSpace:
     """Minimax-path distances of a connected weighted graph.
 
-    d(u, v) is the minimum over all walks joining u and v of the largest edge
-    weight on the walk: the subdominant ultrametric of the matrix of lightest
-    edge weights, read along its minimum spanning tree. The space keeps that
-    tree, so the one spanning tree pass of the graph is the only one the
-    space runs. Raises ``ValueError`` for a graph without vertices or an edge
-    whose endpoint is not a vertex, ``LabelCollision`` for a repeated vertex,
-    and ``DisconnectedGraph`` when the spanning tree pass cannot reach every
-    vertex.
+    Endpoints become strings and weights floats. The vertices, in order, are
+    the given ``vertices`` without repeats, then the other endpoints by first
+    appearance. d(u, v) is the minimum over all walks joining u and v of the
+    largest edge weight on the walk: the subdominant ultrametric of the
+    matrix of lightest edge weights, read along its minimum spanning tree.
+    The space keeps that tree, so the one spanning tree pass of the graph is
+    the only one the space runs. Raises ``ValueError`` for a graph without
+    vertices or an edge that ``_edge_fault`` rejects (a self-loop, or a
+    weight that is not positive and finite), and ``DisconnectedGraph`` when
+    the spanning tree pass cannot reach every vertex.
     """
-    n = len(graph.vertices)
+    edge_list = [(str(u), str(v), float(w)) for u, v, w in edges]
+    given = [str(v) for v in vertices]
+    labels = tuple(dict.fromkeys(given + [x for u, v, _ in edge_list for x in (u, v)]))
+    n = len(labels)
     if not n:
         raise ValueError("graph has no vertices")
-    index = {v: i for i, v in enumerate(graph.vertices)}
+    index = {v: i for i, v in enumerate(labels)}
     w = np.full((n, n), np.inf)
-    try:
-        for u, v, weight in graph.edges:
-            i, j = index[u], index[v]
-            w[i, j] = w[j, i] = min(weight, w[i, j])
-    except KeyError as exc:
-        raise ValueError(f"edge endpoint {exc.args[0]!r} is not a graph vertex") from None
-    labels = tuple(str(v) for v in graph.vertices)
-    if len(set(labels)) != n:
-        raise LabelCollision("duplicate point labels")
-    edges, sub = _spanning_tree(w)
+    for u, v, weight in edge_list:
+        if fault := _edge_fault(u, v, weight):
+            raise ValueError(fault)
+        i, j = index[u], index[v]
+        w[i, j] = w[j, i] = min(weight, w[i, j])
+    tree, sub = _spanning_tree(w)
     # validate_metric would find nothing here, and the space's spanning tree
     # cache is known exactly. sub is exactly symmetric with a zero diagonal;
-    # off the diagonal it copies weights, which are positive (WeightedGraph)
-    # and finite (inf means no edge, and the pass raised DisconnectedGraph
+    # off the diagonal it copies weights, which are positive and finite
+    # (_edge_fault; inf means no edge, and the pass raised DisconnectedGraph
     # unless it reached every vertex). sub is an ultrametric, and the pass only
     # copies and takes maxima, so sub is its own subdominant ultrametric with
     # an excess of exactly 0, and a minimum spanning tree of w is also one of sub.
     space = FiniteMetricSpace(labels=labels, dist=_freeze(sub), n=n)
-    space.__dict__["_ultrametric"] = (edges, 0.0, METRIC_RTOL * float(sub.max()))
+    space.__dict__["_ultrametric"] = (tree, 0.0, METRIC_RTOL * float(sub.max()))
     return space
 
 
@@ -426,8 +404,10 @@ def parse_matrix_text(text: str) -> tuple[list[str], np.ndarray]:
     return labels, np.array(rows)
 
 
-def parse_edge_list_text(text: str) -> WeightedGraph:
-    """Parse ``u v w`` edge lines; ``#`` starts a comment."""
+def parse_edge_list_text(text: str) -> list[tuple[str, str, float]]:
+    """Parse ``u v w`` edge lines into ``(u, v, w)`` tuples for
+    ``ultrametric_from_graph``; ``#`` starts a comment. An edge that
+    ``_edge_fault`` rejects raises a ``ParseError`` that names its line."""
     edges: list[tuple[str, str, float]] = []
     for lineno, line in _content_lines(text):
         parts = line.split()
@@ -443,4 +423,4 @@ def parse_edge_list_text(text: str) -> WeightedGraph:
         edges.append((u, v, w))
     if not edges:
         raise ParseError(0, "edge list is empty")
-    return build_graph(edges)
+    return edges

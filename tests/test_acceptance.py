@@ -21,7 +21,6 @@ from negtype import (
     GlueClassification,
     GlueSpec,
     averaging_identity,
-    build_graph,
     certify,
     decompose,
     discrete_space,
@@ -75,7 +74,7 @@ def test_criterion_01_discrete_gap_formula():
 
 def test_criterion_02_seven_point_example():
     with criterion(2, 1.0, "seven-point example: matrix, splits, interval"):
-        space = ultrametric_from_graph(build_graph(EXAMPLE_EDGES))
+        space = ultrametric_from_graph(EXAMPLE_EDGES)
         assert np.array_equal(space.dist, EXAMPLE_MATRIX)
 
         tree = decompose(space)

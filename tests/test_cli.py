@@ -293,6 +293,13 @@ class TestGlue:
         assert code == 1
         assert "diameter" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_infinite_bridge_exits_one(self, capsys, extra):
+        # it failed later, on the overflow of the bridge power c^p
+        code, out, err = run(capsys, "glue", DATA / "x5_a.txt", DATA / "x5_b.txt", "--c", "inf",
+                             *extra)
+        assert (code, out, err) == (1, "", "error: bridge distance must be finite, got inf\n")
+
     def test_one_spanning_tree_pass_per_space(self, capsys, spanning_tree_calls):
         code, _, _ = run(capsys, "glue", DATA / "x5_a.txt", DATA / "x5_b.txt", "--c", "5")
         assert code == 0
@@ -504,6 +511,23 @@ class TestUltra:
             code, out, err = run(capsys, "ultra", subcommand, path, f"--p={p}", "--json")
             assert (code, out) == (1, "")
             assert err == f"error: exponent must be positive, got {float(p)}\n"
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            pytest.param("a b 1\nb c inf\n", "line 2: edge (b, c) has non-finite weight inf",
+                         id="only-edge-to-c"),
+            pytest.param("a b 1\nb c 2\na c inf\n", "line 3: edge (a, c) has non-finite weight inf",
+                         id="redundant-edge"),
+        ],
+    )
+    def test_infinite_edge_weight_exits_one(self, capsys, tmp_path, text, error):
+        # inf read as "no edge": a disconnected graph, or an edge dropped in silence
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        for subcommand in ("decompose", "bounds", "coteries", "asymptotic"):
+            code, out, err = run(capsys, "ultra", subcommand, path, "--json")
+            assert (code, out, err) == (1, "", f"error: {error}\n")
 
     def test_overflowing_exponent_exits_one(self, capsys):
         # the recursive bounds raised OverflowError here, a traceback
@@ -781,6 +805,21 @@ def _null_paths(report, path=""):
             yield from _null_paths(item, path)
     elif report is None:
         yield path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["analyze", DATA / "x5_a.txt"], id="analyze"),
+        pytest.param(["ultra", "coteries", DATA / "x5_a.txt"], id="ultra-coteries"),
+        pytest.param(["glue", DATA / "x5_a.txt", DATA / "x5_b.txt", "--c", "2"], id="glue"),
+    ],
+)
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_infinite_exponent_exits_one(capsys, argv, extra):
+    # each printed "p": Infinity, which is not JSON, and exited 0
+    code, out, err = run(capsys, *argv, "--p", "inf", *extra)
+    assert (code, out, err) == (1, "", "error: exponent must be finite, got inf\n")
 
 
 def test_every_json_report_is_strict_json(capsys, tmp_path):

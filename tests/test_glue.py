@@ -88,6 +88,8 @@ class TestGlueSpaces:
         for c in (0.0, -1.0, float("nan")):
             with pytest.raises(BridgeTooShort, match="bridge distance must be positive"):
                 GlueSpec(left=discrete_space(1), right=relabel(discrete_space(1), "R"), c=c)
+        with pytest.raises(BridgeTooShort, match="^bridge distance must be finite, got inf$"):
+            GlueSpec(left=discrete_space(2), right=relabel(discrete_space(2), "R"), c=inf)
 
     def test_label_collision(self):
         with pytest.raises(LabelCollision):

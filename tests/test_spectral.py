@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import _ctypes
+import ctypes
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -253,6 +256,38 @@ class TestOneBlasThread:
         code = main(["analyze", str(data / "asymmetric.txt")])
         assert (code, setter(before)) == (1, 2)
         assert "symmetric" in capsys.readouterr().err
+
+    @pytest.fixture
+    def lookup_in(self, monkeypatch):
+        """Point the lookup at a numpy package directory of the test's
+        choosing; the cached setter is cleared before and after, so later
+        tests find the real one again."""
+        spectral._blas_thread_setter.cache_clear()
+
+        def lookup(package: Path):
+            monkeypatch.setattr(spectral, "np", SimpleNamespace(__file__=str(package / "__init__.py")))
+            return spectral._blas_thread_setter()
+
+        yield lookup
+        spectral._blas_thread_setter.cache_clear()
+
+    def test_no_candidate_library_finds_no_setter(self, lookup_in, tmp_path):
+        assert lookup_in(tmp_path / "numpy") is None
+
+    def test_candidates_that_are_not_openblas_are_skipped(self, lookup_in, tmp_path):
+        # one file no loader accepts (OSError), one shared library without
+        # the setter (AttributeError); both are named like OpenBLAS
+        if not Path(getattr(_ctypes, "__file__", "")).is_file():
+            pytest.skip("_ctypes is built into this interpreter")
+        libs = tmp_path / "numpy.libs"
+        libs.mkdir()
+        (libs / "libopenblas-a.so").write_bytes(b"not a shared library")
+        (libs / "libopenblas-b.so").symlink_to(_ctypes.__file__)
+        with pytest.raises(OSError):
+            ctypes.CDLL(str(libs / "libopenblas-a.so"))
+        with pytest.raises(AttributeError):
+            ctypes.CDLL(str(libs / "libopenblas-b.so")).openblas_set_num_threads_local
+        assert lookup_in(tmp_path / "numpy") is None
 
     def test_no_setter_is_a_no_op(self, monkeypatch):
         monkeypatch.setattr(spectral, "_blas_thread_setter", lambda: None)

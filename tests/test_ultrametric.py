@@ -18,7 +18,6 @@ from helpers import (
 from negtype import (
     FiniteMetricSpace,
     GlueSpec,
-    build_graph,
     asymptotic_gap_limit,
     certify,
     coteries,
@@ -58,7 +57,7 @@ def reference_spaces(corpus):
     for _ in range(20):
         spaces.append(repeated_height_ultrametric(rng, int(rng.integers(2, 24))))
         edges = random_connected_graph(rng, int(rng.integers(2, 20)))
-        spaces.append(ultrametric_from_graph(build_graph(edges)))
+        spaces.append(ultrametric_from_graph(edges))
     return spaces
 
 
@@ -333,6 +332,13 @@ class TestRecursiveBounds:
     def test_rejects_a_nonpositive_exponent(self, example78, p):
         with pytest.raises(NonpositiveExponent, match=f"^exponent must be positive, got {p}$"):
             recursive_gap_bounds(example78, p)
+
+    def test_rejects_an_infinite_exponent(self):
+        # at p = inf the recursion returned 0.75 for the 3-point discrete space
+        with pytest.raises(ValueError, match="^exponent must be finite, got inf$"):
+            recursive_gap_bounds(discrete_space(3), float("inf"))
+        with pytest.raises(NonpositiveExponent, match="^exponent must be positive, got -inf$"):
+            recursive_gap_bounds(discrete_space(3), float("-inf"))
 
     def test_powers_out_of_the_float_range_are_errors(self):
         def space(small, large):
