@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from functools import cache
+from itertools import chain
 from math import isinf
 
 from . import bounds as bounds_mod
@@ -26,7 +27,7 @@ from .gap import _check_containment
 from .metric import (
     FiniteMetricSpace,
     _check_exponent,
-    _first_content_line,
+    _content_lines,
     is_ultrametric,
     p_distance_matrix,
     parse_edge_list_text,
@@ -45,21 +46,29 @@ EXIT_TOLERANCE_FAILURE = 3
 
 
 def _load_matrix_space(path: str) -> FiniteMetricSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        labels, matrix = parse_matrix_text(fh.read())
+    with open(path, "r", encoding="utf-8-sig") as fh:  # utf-8-sig drops a leading BOM
+        labels, matrix = parse_matrix_text(fh)
     return validate_metric(labels, matrix)
 
 
 def _load_ultra_space(path: str) -> FiniteMetricSpace:
     """Read a matrix file when the first line that is neither blank nor a
-    comment is ``labels: ...`` or a lone count, and an edge list otherwise."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    first = _first_content_line(text)
-    if first.startswith("labels:") or len(first.split()) == 1:
-        labels, matrix = parse_matrix_text(text)
-        return validate_metric(labels, matrix)
-    return ultrametric_from_graph(parse_edge_list_text(text))
+    comment is ``labels: ...`` or a lone count, and an edge list otherwise.
+
+    The file is read line by line and never seeks, so a pipe works: the lines
+    read up to the first content line go back in front of the rest."""
+    with open(path, "r", encoding="utf-8-sig") as fh:  # utf-8-sig drops a leading BOM
+        head: list[str] = []
+        first = ""
+        for line in fh:
+            head.append(line)
+            first = next(_content_lines(line), (0, ""))[1]
+            if first:
+                break
+        lines = chain(head, fh)
+        if first.startswith("labels:") or len(first.split()) == 1:
+            return validate_metric(*parse_matrix_text(lines))
+        return ultrametric_from_graph(parse_edge_list_text(lines))
 
 
 def _finite_or_null(x: float) -> float | None:

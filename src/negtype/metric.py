@@ -8,10 +8,12 @@ one certificate (``negtype.gap.certify``) that every analysis of it reads.
 Ultrametric structure comes from one O(n^2) minimum spanning tree pass,
 ``_spanning_tree``: the strong-triangle test and the graph minimax distances
 read its subdominant ultrametric, and the decomposition and the coteries in
-``negtype.ultrametric`` read its edges. Each space runs that pass at most
-once and caches the result; a space built from a graph (by
-``ultrametric_from_graph``, the one function that reads a graph) keeps the
-tree of the pass that computed its minimax distances, and runs none of its own.
+``negtype.ultrametric`` read its edges, the path of Prim's order, which joins
+the same classes at every height as a minimum spanning tree (Gower and Ross,
+1969). Each space runs that pass at most once and caches the result; a space
+built from a graph (by ``ultrametric_from_graph``, the one function that
+reads a graph) keeps the edges of the pass that computed its minimax
+distances, and runs none of its own.
 
 Validation costs O(n^2) when d is within ``METRIC_RTOL * diameter`` of its
 subdominant ultrametric, and O(n^3) otherwise. The subdominant only copies
@@ -80,7 +82,7 @@ class FiniteMetricSpace:
         ``__dict__``, which the frozen dataclass allows."""
         d = self.dist
         edges, sub = _spanning_tree(d)
-        return edges, float((d - sub).max()), METRIC_RTOL * float(d.max())
+        return edges, float(np.subtract(d, sub, out=sub).max()), METRIC_RTOL * float(d.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,35 +236,41 @@ def is_ultrametric(space: FiniteMetricSpace) -> bool:
 
 
 def _spanning_tree(w: np.ndarray) -> tuple[list[tuple[float, int, int]], np.ndarray]:
-    """Minimum spanning tree and subdominant (minimax) ultrametric of weights.
+    """Prim order and subdominant (minimax) ultrametric of weights.
 
     ``w`` is symmetric, ``inf`` means no edge and the diagonal is ignored. A
-    dense Prim pass lists the tree edges as ``(weight, parent, vertex)``; the
-    minimax row of each vertex it reaches is the larger of its tree edge and
-    its parent's row. The subdominant matrix has a zero diagonal and off it
-    only copies entries of ``w``. O(n^2). Raises ``DisconnectedGraph`` when a
-    step finds no edge to the vertices not yet reached.
+    dense Prim pass reaches each vertex at its key, the lightest weight from
+    the vertices reached before it. It reaches every class of "closer than t"
+    whole before it takes a weight of t or more, so each class is a run of
+    its order, and the minimax row of each vertex is the larger of the
+    previous vertex's row and its own key. The edges are the path ``(key,
+    previous vertex, vertex)`` in that order, which joins the same classes at
+    every height as a minimum spanning tree. The subdominant matrix has a
+    zero diagonal and off it only copies entries of ``w``. O(n^2), with no
+    n x n array besides the result. Raises ``DisconnectedGraph`` when a step
+    finds no edge to the vertices not yet reached.
     """
     n = w.shape[0]
     sub = np.full((n, n), -np.inf)  # -inf, not 0: weights may be negative
-    todo = np.array(w, dtype=np.float64)  # weights into the vertices not yet reached
-    todo[:, 0] = np.inf
-    key = todo[0].copy()
-    parent = np.zeros(n, dtype=np.intp)
+    left = np.ones(n, dtype=bool)  # the vertices not yet reached
+    left[0] = False
+    key = w[0].copy()
+    key[0] = np.inf  # a reached vertex keeps the key inf
     edges: list[tuple[float, int, int]] = []
+    prev = 0
     for _ in range(n - 1):
         v = int(key.argmin())
-        h, p = float(key[v]), int(parent[v])
+        h = float(key[v])
         if h == np.inf:
             raise DisconnectedGraph("minimax distances need a connected graph")
-        np.maximum(sub[p], h, out=sub[v])  # exact on reached columns; later rows overwrite the rest
+        np.maximum(sub[prev], h, out=sub[v])  # exact on reached columns; later rows overwrite the rest
         sub[:, v] = sub[v]
         sub[v, v] = -np.inf
-        edges.append((h, p, v))
-        todo[:, v] = np.inf
+        edges.append((h, prev, v))
+        left[v] = False
         key[v] = np.inf
-        parent[todo[v] < key] = v
-        np.minimum(key, todo[v], out=key)
+        np.minimum(key, w[v], out=key, where=left)
+        prev = v
     np.fill_diagonal(sub, 0.0)
     return edges, sub
 
@@ -288,9 +296,9 @@ def ultrametric_from_graph(
     the given ``vertices`` without repeats, then the other endpoints by first
     appearance. d(u, v) is the minimum over all walks joining u and v of the
     largest edge weight on the walk: the subdominant ultrametric of the
-    matrix of lightest edge weights, read along its minimum spanning tree.
-    The space keeps that tree, so the one spanning tree pass of the graph is
-    the only one the space runs. Raises ``ValueError`` for a graph without
+    matrix of lightest edge weights, read along Prim's order. The space keeps
+    the edges of that pass, so the one spanning tree pass of the graph is the
+    only one the space runs. Raises ``ValueError`` for a graph without
     vertices or an edge that ``_edge_fault`` rejects (a self-loop, or a
     weight that is not positive and finite), and ``DisconnectedGraph`` when
     the spanning tree pass cannot reach every vertex.
@@ -315,7 +323,8 @@ def ultrametric_from_graph(
     # (_edge_fault; inf means no edge, and the pass raised DisconnectedGraph
     # unless it reached every vertex). sub is an ultrametric, and the pass only
     # copies and takes maxima, so sub is its own subdominant ultrametric with
-    # an excess of exactly 0, and a minimum spanning tree of w is also one of sub.
+    # an excess of exactly 0; each path edge weighs sub at its ends, so the path
+    # joins at every height the classes of sub that a pass over sub would join.
     space = FiniteMetricSpace(labels=labels, dist=_freeze(sub), n=n)
     space.__dict__["_ultrametric"] = (tree, 0.0, METRIC_RTOL * float(sub.max()))
     return space
@@ -323,26 +332,17 @@ def ultrametric_from_graph(
 
 # ------------------------------------------------------------- text formats ----
 
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Each line that is neither blank nor a comment, stripped, with its
-    number among all lines (from 1). ``#`` starts a comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _content_lines(source: str | Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Each line of a string, or of an iterable of strings such as an open
+    text file, that is neither blank nor a comment, stripped, with its number
+    among all lines (from 1). Lines end where ``str.splitlines`` ends them,
+    and ``#`` starts a comment."""
+    chunks = [source] if isinstance(source, str) else source
+    lines = (line for chunk in chunks for line in chunk.splitlines())
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
-
-
-def _first_content_line(text: str) -> str:
-    """The first line that ``_content_lines`` yields, or "", without
-    splitting all of ``text``: it reads prefixes, each 16 times longer than
-    the last, and leaves out a prefix's last line, which may be cut short."""
-    size = 1024
-    while size < len(text):
-        head = text[:size].splitlines(keepends=True)[:-1]
-        for _, line in _content_lines("".join(head)):
-            return line
-        size *= 16
-    return next(_content_lines(text), (0, ""))[1]
 
 
 class _TokenFloats(dict):
@@ -354,22 +354,23 @@ class _TokenFloats(dict):
         return value
 
 
-def parse_matrix_text(text: str) -> tuple[list[str], np.ndarray]:
-    """Parse the matrix file format.
+def parse_matrix_text(source: str | Iterable[str]) -> tuple[list[str], np.ndarray]:
+    """Parse the matrix file format from a string or an open text file.
 
     An optional ``labels: a b c ...`` line may precede or follow the count
     line; then come ``n`` whitespace-separated rows. ``#`` starts a comment.
-    Each distinct token of the file is converted by ``float`` once: a
-    symmetric matrix holds each off-diagonal value twice, and an ultrametric
-    row repeats its few heights. Rows are stacked only once all are read, so
-    a huge count fails on the first short row instead of allocating the
-    matrix.
+    A file is read line by line, never whole. Each distinct token is
+    converted by ``float`` once: a symmetric matrix holds each off-diagonal
+    value twice, and an ultrametric row repeats its few heights. Each row is
+    written into one result, whose rows double, up to n, as they fill; so a
+    huge count fails on the first short row or at the end of the rows
+    without allocating an n x n matrix.
     """
     labels: list[str] | None = None
     n: int | None = None
-    rows: list[np.ndarray] = []
+    filled = 0  # rows of the matrix written so far
     convert = _TokenFloats().__getitem__
-    for lineno, line in _content_lines(text):
+    for lineno, line in _content_lines(source):
         if line.startswith("labels:"):
             if labels is not None:
                 raise ParseError(lineno, "duplicate labels line")
@@ -382,6 +383,7 @@ def parse_matrix_text(text: str) -> tuple[list[str], np.ndarray]:
                 raise ParseError(lineno, f"expected point count, got {line!r}") from None
             if n < 1:
                 raise ParseError(lineno, "point count must be at least 1")
+            matrix = np.empty((0, n))  # grows as rows arrive
             continue
         tokens = line.split()
         try:
@@ -390,26 +392,30 @@ def parse_matrix_text(text: str) -> tuple[list[str], np.ndarray]:
             raise ParseError(lineno, f"bad matrix row: {line!r}") from None
         if len(row) != n:
             raise ParseError(lineno, f"expected {n} entries, found {len(row)}")
-        rows.append(row)
-        if len(rows) > n:
+        if filled == n:
             raise ParseError(lineno, "more rows than the declared count")
+        if filled == len(matrix):  # full: double its rows; no view of it exists
+            matrix.resize((min(2 * filled or 1, n), n), refcheck=False)
+        matrix[filled] = row
+        filled += 1
     if n is None:
         raise ParseError(0, "missing point count")
-    if len(rows) != n:
-        raise ParseError(0, f"expected {n} rows, found {len(rows)}")
+    if filled != n:
+        raise ParseError(0, f"expected {n} rows, found {filled}")
     if labels is None:
         labels = [f"x{i + 1}" for i in range(n)]
     elif len(labels) != n:
         raise ParseError(0, f"{len(labels)} labels for {n} points")
-    return labels, np.array(rows)
+    return labels, matrix
 
 
-def parse_edge_list_text(text: str) -> list[tuple[str, str, float]]:
-    """Parse ``u v w`` edge lines into ``(u, v, w)`` tuples for
-    ``ultrametric_from_graph``; ``#`` starts a comment. An edge that
-    ``_edge_fault`` rejects raises a ``ParseError`` that names its line."""
+def parse_edge_list_text(source: str | Iterable[str]) -> list[tuple[str, str, float]]:
+    """Parse ``u v w`` edge lines, from a string or an open text file, into
+    ``(u, v, w)`` tuples for ``ultrametric_from_graph``; ``#`` starts a
+    comment. An edge that ``_edge_fault`` rejects raises a ``ParseError``
+    that names its line."""
     edges: list[tuple[str, str, float]] = []
-    for lineno, line in _content_lines(text):
+    for lineno, line in _content_lines(source):
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(lineno, f"expected 'u v w', got {line!r}")

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import negtype
-from helpers import caterpillar, random_euclidean, random_ultrametric
+from helpers import caterpillar, random_dendrogram, random_euclidean, random_ultrametric
 from negtype import gap, glue, p_distance_matrix, spectral, ultrametric
 from negtype.cli import _build_parser, _load_matrix_space, _load_ultra_space, main
 
@@ -503,6 +504,22 @@ class TestUltra:
         assert space.labels == labels
         assert np.array_equal(space.dist, dist)
 
+    def test_reading_a_matrix_file_holds_three_n_by_n_arrays(self, tmp_path):
+        # the parsed matrix, the space's copy of it and the subdominant, whose
+        # excess is taken in place; the text is read line by line
+        n = 400
+        d = random_dendrogram(np.random.default_rng(3), n)
+        path = tmp_path / "dendrogram.txt"
+        path.write_text(f"{n}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in d.tolist()))
+        tracemalloc.start()
+        try:
+            space = _load_ultra_space(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(space.dist, d)
+        assert peak < 3.6 * (8 * n * n)
+
     @pytest.mark.parametrize("subcommand", ["decompose", "bounds", "coteries", "asymptotic"])
     @pytest.mark.parametrize("p", ["nan", "0", "-1"])
     def test_nonpositive_exponent_exits_one(self, capsys, tmp_path, subcommand, p):
@@ -877,6 +894,55 @@ class TestSinglePoint:
     def test_ultra_coteries_need_two_points(self, capsys, subcommand):
         code, out, err = run(capsys, "ultra", subcommand, DATA / "single_point.txt")
         assert (code, out, err) == (1, "", "error: coteries need at least two points\n")
+
+
+@pytest.mark.parametrize(
+    "text, commands",
+    [
+        pytest.param("3\n0 1 2\n1 0 2\n2 2 0\n", ["analyze", "ultra bounds"], id="matrix"),
+        pytest.param("labels: a b c\n3\n0 1 2\n1 0 2\n2 2 0\n", ["analyze", "ultra bounds"],
+                     id="labels-first"),
+        pytest.param("a b 1\nb c 2\n", ["ultra bounds"], id="edge-list"),
+    ],
+)
+def test_a_byte_order_mark_reads_like_its_absence(capsys, tmp_path, text, commands):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    for command in commands:
+        reports = []
+        for path in (plain, marked):
+            code, out, err = run(capsys, *command.split(), path, "--json")
+            report = json.loads(out)
+            report.pop("timing_seconds")
+            reports.append((code, report, err))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        pytest.param("ultra coteries", "3\n0 1 2\n1 0 2\n2 2 0\n", id="ultra-matrix"),
+        pytest.param("ultra coteries", "a b 1\nb c 2\n", id="ultra-edge-list"),
+        pytest.param("analyze", "3\n0 1 2\n1 0 2\n2 2 0\n", id="analyze"),
+    ],
+)
+def test_piped_input_reads_like_a_file(capsys, tmp_path, command, text):
+    # a pipe cannot seek: the ultra loader reads its format without going back
+    src = str(Path(negtype.__file__).resolve().parent.parent)
+    path = tmp_path / "space.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = [sys.executable, "-m", "negtype.cli", *command.split(), "/dev/stdin", "--json"]
+    done = subprocess.run(argv, input=text, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    code, out, err = run(capsys, *command.split(), path, "--json")
+    piped, direct = json.loads(done.stdout), json.loads(out)
+    piped.pop("timing_seconds")
+    direct.pop("timing_seconds")
+    assert (done.returncode, piped, done.stderr) == (code, direct, err)
+    assert code == 0
 
 
 NO_SCIPY_SCRIPT = """

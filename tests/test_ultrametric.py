@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     brute_decompose,
+    brute_minimax,
     brute_strictly_ultrametric,
     caterpillar,
     random_connected_graph,
@@ -51,13 +52,18 @@ def dp_of(space, p=1.0):
 
 
 def reference_spaces(corpus):
-    """The corpus, spaces with repeated heights, and graph-derived spaces."""
+    """The corpus, spaces with repeated heights, and graph-derived spaces,
+    half of them with integer weights, whose heights tie. A graph space
+    keeps the edges of the pass over its weights, which need not be graph
+    edges."""
     rng = np.random.default_rng(10)
     spaces = list(corpus)
     for _ in range(20):
         spaces.append(repeated_height_ultrametric(rng, int(rng.integers(2, 24))))
         edges = random_connected_graph(rng, int(rng.integers(2, 20)))
         spaces.append(ultrametric_from_graph(edges))
+        edges = random_connected_graph(rng, int(rng.integers(2, 30)))
+        spaces.append(ultrametric_from_graph([(u, v, float(np.ceil(w))) for u, v, w in edges]))
     return spaces
 
 
@@ -114,6 +120,42 @@ class TestSpanningTree:
             _, sub = _spanning_tree(d)
             assert (sub <= d).all()
             assert np.array_equal(_spanning_tree(sub)[1], sub)
+
+    def test_edges_are_the_prim_path_and_give_the_minimax_distances(self):
+        # in Prim order, the minimax distance of u_i and u_j (i < j) is the
+        # largest key of u_(i+1), ..., u_j, also where heights tie
+        rng = np.random.default_rng(13)
+        for k in range(40):
+            n = int(rng.integers(2, 30))
+            edges = random_connected_graph(rng, n)
+            if k % 2:
+                edges = [(u, v, float(np.ceil(w))) for u, v, w in edges]
+            labels = [f"v{i}" for i in range(n)]
+            expected = brute_minimax(labels, edges)
+            w = np.full((n, n), np.inf)
+            for u, v, weight in edges:
+                i, j = labels.index(u), labels.index(v)
+                w[i, j] = w[j, i] = min(w[i, j], weight)
+            path, sub = _spanning_tree(w)
+            assert np.array_equal(sub, expected)
+            order = [0] + [v for _, _, v in path]
+            assert sorted(order) == list(range(n))
+            assert [prev for _, prev, _ in path] == order[:-1]
+            keys = [h for h, _, _ in path]
+            for i in range(n):
+                reach = np.maximum.accumulate(keys[i:])
+                assert np.array_equal(sub[order[i], order[i + 1:]], reach)
+
+    def test_no_n_by_n_array_besides_the_result(self):
+        n = 400
+        w = random_dendrogram(np.random.default_rng(14), n)
+        tracemalloc.start()
+        try:
+            _spanning_tree(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * (8 * n * n)
 
 
 class TestDecompose:
