@@ -4,18 +4,17 @@ An ultrametric space of diameter D splits into two nonempty parts with all
 cross-distances equal to D; recursing yields a tree whose leaf blocks have
 an exact closed-form gap. Walking the tree accumulates two-sided bounds on
 the reciprocal gap, and the minimum-distance clusters (coteries) determine
-the large-exponent limit of the normalized gap. One union-find sweep,
-``_sweep``, merges the edges of the one minimum spanning tree pass of
-``negtype.metric`` height by height: ``decompose`` builds the only
-ultrametric tree from all of its heights, and the coteries read its first.
-The strictly-ultrametric matrix test runs that pass on its own matrix.
+the large-exponent limit of the normalized gap. Both read the path of the
+one minimum spanning tree pass of ``negtype.metric`` once, in its order:
+``decompose`` builds the only ultrametric tree from all of its heights, and
+the coteries are its runs at the smallest height. The strictly-ultrametric
+matrix test runs that pass on its own matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -134,50 +133,37 @@ def _require_ultrametric(space: FiniteMetricSpace) -> list[tuple[float, int, int
     return edges
 
 
-def _find(up: list[int], a: int) -> int:
-    """Root of ``a`` in the union-find forest ``up``, halving the path."""
-    while up[a] != a:
-        up[a] = up[up[a]]
-        a = up[a]
-    return a
-
-
-def _sweep(space: FiniteMetricSpace):
-    """Union-find over the spanning tree edges in ascending order, all edges
-    of one height together. Yields each height and a dict from each root that
-    the height forms to the roots, below the height, of the parts it joins."""
-    up = list(range(space.n))
-    for height, group in groupby(sorted(_require_ultrametric(space)), key=itemgetter(0)):
-        pairs = [(_find(up, p), _find(up, v)) for _, p, v in group]  # roots below ``height``
-        for a, b in pairs:
-            up[_find(up, a)] = _find(up, b)
-        joined: dict[int, list[int]] = {}
-        for a in {a for pair in pairs for a in pair}:
-            joined.setdefault(_find(up, a), []).append(a)
-        yield height, joined
-
-
 def decompose(space: FiniteMetricSpace, full_split: bool = False) -> UltrametricTree:
     """Recursive diameter-split tree of an ultrametric space.
 
-    The parts that one height of ``_sweep`` joins into a set are the classes
-    of "closer than that height", the set's diameter. The set splits into its
-    largest part (ties broken toward the part holding the smallest index) and
-    the rest, so cross-distances all equal the diameter; the rest splits again
-    at the same height until it is one part.
+    One pass over the path of ``metric._spanning_tree``, whose return
+    contract makes each class of "closer than t" a run of its order. A stack
+    holds the open nodes, (height, parts), heights falling toward the top.
+    An edge of height h closes every open node below h, each with the part
+    finished so far as its last part; that part then joins the open node at
+    h, or opens one. A sentinel edge at +inf closes the root. The parts of a node at height h, its diameter, are the classes
+    of "closer than h". The node splits into its largest part (ties broken
+    toward the part holding the smallest index) and the rest, so
+    cross-distances all equal the diameter; the rest splits again at the
+    same height until it is one part.
     Children are ordered by their smallest point index. Splitting stops at
     singletons and at discrete blocks, single points at one height, whose
     gap is known exactly; with ``full_split`` discrete blocks keep splitting
-    down to singletons. The tree is built bottom-up, with no recursion: it
-    can be as deep as n.
+    down to singletons. There is no recursion: the tree can be as deep as n.
     """
     labels = space.labels
-    top = [UltrametricTree((labels[i],), (i,), 0.0, None) for i in range(space.n)]  # per root
-    root = 0
-    for height, joined in _sweep(space):
-        for root, parts in joined.items():
-            top[root] = _split(labels, height, [top[a] for a in parts], full_split)
-    return top[root]  # the last height joins every point
+    part = UltrametricTree((labels[0],), (0,), 0.0, None)  # the path starts at point 0
+    stack: list[tuple[float, list[UltrametricTree]]] = []
+    for height, _, v in [*_require_ultrametric(space), (np.inf, 0, 0)]:
+        while stack and stack[-1][0] < height:
+            below, parts = stack.pop()
+            part = _split(labels, below, [*parts, part], full_split)
+        if stack and stack[-1][0] == height:
+            stack[-1][1].append(part)
+        else:
+            stack.append((height, [part]))
+        part = UltrametricTree((labels[v],), (v,), 0.0, None)
+    return stack[0][1][0]  # the sentinel's one part
 
 
 def _split(
@@ -312,13 +298,16 @@ class CoterieSet:
 def coteries(space: FiniteMetricSpace) -> CoterieSet:
     """All distinct minimum-distance balls holding at least two points.
 
-    These are the classes that the spanning tree edges of the minimum
-    positive distance join, listed by their smallest index.
+    Each is the class that one maximal run of path edges at the minimum
+    positive distance joins (``metric._spanning_tree``); they are listed by
+    their smallest index.
     """
     if space.n < 2:
         raise SinglePoint("coteries need at least two points")
-    alpha, joined = next(_sweep(space))  # every part below the first height is a point
-    groups = sorted(sorted(points) for points in joined.values())
+    path = _require_ultrametric(space)
+    alpha = min(h for h, _, _ in path)
+    runs = [list(run) for low, run in groupby(path, key=lambda edge: edge[0] == alpha) if low]
+    groups = sorted(sorted([run[0][1], *(v for _, _, v in run)]) for run in runs)
     return CoterieSet(
         alpha=alpha,
         coteries=tuple(tuple(space.labels[j] for j in members) for members in groups),

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_decompose,
@@ -65,6 +67,43 @@ def reference_spaces(corpus):
         edges = random_connected_graph(rng, int(rng.integers(2, 30)))
         spaces.append(ultrametric_from_graph([(u, v, float(np.ceil(w))) for u, v, w in edges]))
     return spaces
+
+
+def minimum_distance_classes(space):
+    """Cubic oracle: the minimum positive distance, and the classes of points
+    at that distance holding two or more points, by smallest index."""
+    d, n = space.dist, space.n
+    alpha = d[~np.eye(n, dtype=bool)].min()
+    at_alpha = (d == alpha) | np.eye(n, dtype=bool)
+    classes = sorted({tuple(np.flatnonzero(row).tolist()) for row in at_alpha})
+    return alpha, [c for c in classes if len(c) > 1]
+
+
+@st.composite
+def tied_spaces(draw):
+    """One space with integer heights in 1..4, which tie at many heights, as
+    (matrix route, graph route). A random dendrogram becomes the matrix, and
+    its complete graph the graph; a random connected graph, with vertices in
+    a drawn order, becomes the graph, and its minimax matrix the matrix."""
+    n = draw(st.integers(2, 14))
+    labels = [f"v{i}" for i in range(n)]
+    if draw(st.booleans()):
+        clusters = [[i] for i in range(n)]
+        d = np.zeros((n, n))
+        for height in sorted(draw(st.lists(st.integers(1, 4), min_size=n - 1, max_size=n - 1))):
+            i = draw(st.integers(0, len(clusters) - 1))
+            j = draw(st.integers(0, len(clusters) - 2))
+            a, b = clusters[i], clusters.pop(j + (j >= i))
+            d[np.ix_(a, b)] = d[np.ix_(b, a)] = height
+            a += b
+        edges = [(labels[i], labels[j], d[i, j]) for i in range(n) for j in range(i)]
+        return validate_metric(labels, d), ultrametric_from_graph(edges, labels)
+    edges = [(v, draw(st.integers(0, v - 1)), draw(st.integers(1, 4))) for v in range(1, n)]
+    extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 4))
+    edges += [(u, v, w) for u, v, w in draw(st.lists(extra, max_size=2 * n)) if u != v]
+    order = draw(st.permutations(labels))
+    graph = ultrametric_from_graph([(labels[u], labels[v], w) for u, v, w in edges], order)
+    return validate_metric(graph.labels, graph.dist), graph
 
 
 class TestStrictlyUltrametricCheck:
@@ -200,6 +239,41 @@ class TestDecompose:
         expected = "".join(f"(split=2 [x{k} x{k + 1} @ 1] " for k in range(0, n - 2, 2))
         expected += f"[x{n - 2} x{n - 1} @ 1]" + ")" * (n // 2 - 1)
         assert tree.serialize() == expected
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(routes=tied_spaces())
+    def test_tied_heights_match_the_references_on_both_routes(self, routes):
+        matrix_space, graph_space = routes
+        assert np.array_equal(matrix_space.dist, graph_space.dist)
+        for space in routes:
+            for full_split in (False, True):
+                assert decompose(space, full_split) == brute_decompose(space, full_split)
+            alpha, classes = minimum_distance_classes(space)
+            result = coteries(space)
+            assert result.alpha == alpha
+            assert result.coteries == tuple(tuple(space.labels[j] for j in c) for c in classes)
+
+    def test_path_whose_heights_fall_and_rise(self):
+        # minimax of the path x0 -3- x1 -1- x2 -2- x3 -1- x4 -3- x5, which is
+        # also its Prim order: the node at 2 closes before the root at 3
+        keys = [3.0, 1.0, 2.0, 1.0, 3.0]
+        d = np.zeros((6, 6))
+        for i in range(6):
+            for j in range(i + 1, 6):
+                d[i, j] = d[j, i] = max(keys[i:j])
+        space = validate_metric([f"x{i}" for i in range(6)], d)
+        assert [(h, prev, v) for h, prev, v in space._ultrametric[0]] == [
+            (3.0, 0, 1), (1.0, 1, 2), (2.0, 2, 3), (1.0, 3, 4), (3.0, 4, 5)
+        ]
+        tree = decompose(space)
+        assert tree.serialize() == "(split=3 [x0 x5 @ 3] (split=2 [x1 x2 @ 1] [x3 x4 @ 1]))"
+        assert decompose(space, full_split=True).serialize() == (
+            "(split=3 (split=3 [x0 @ 0] [x5 @ 0])"
+            " (split=2 (split=1 [x1 @ 0] [x2 @ 0]) (split=1 [x3 @ 0] [x4 @ 0])))"
+        )
+        for full_split in (False, True):
+            assert decompose(space, full_split) == brute_decompose(space, full_split)
+        assert coteries(space).coteries == (("x1", "x2"), ("x3", "x4"))
 
     def test_example_serialization(self, example78):
         tree = decompose(example78)
@@ -451,13 +525,29 @@ class TestCoteries:
         with pytest.raises(NotUltrametric):
             coteries(line3)
 
+    def test_two_runs_at_the_smallest_height_are_listed_by_index(self):
+        # Prim order x0 x3 x4 x1 x2 with heights 2, 1, 3, 1: the run that
+        # joins x3 and x4 comes first, yet the coteries go by smallest index
+        d = np.array(
+            [
+                [0, 3, 3, 2, 2],
+                [3, 0, 1, 3, 3],
+                [3, 1, 0, 3, 3],
+                [2, 3, 3, 0, 1],
+                [2, 3, 3, 1, 0],
+            ],
+            dtype=float,
+        )
+        space = validate_metric([f"x{i}" for i in range(5)], d)
+        assert [h for h, _, _ in space._ultrametric[0]] == [2.0, 1.0, 3.0, 1.0]
+        assert [v for _, _, v in space._ultrametric[0]] == [3, 4, 1, 2]
+        result = coteries(space)
+        assert result.alpha == 1.0 and result.e == 2
+        assert result.coteries == (("x1", "x2"), ("x3", "x4"))
+
     def test_matches_the_minimum_distance_classes(self, corpus):
         for space in reference_spaces(corpus):
-            d, n = space.dist, space.n
-            alpha = d[~np.eye(n, dtype=bool)].min()
-            at_alpha = (d == alpha) | np.eye(n, dtype=bool)
-            classes = sorted({tuple(np.flatnonzero(row).tolist()) for row in at_alpha})
-            classes = [c for c in classes if len(c) > 1]
+            alpha, classes = minimum_distance_classes(space)
             result = coteries(space)
             assert result.alpha == alpha
             assert result.coteries == tuple(tuple(space.labels[j] for j in c) for c in classes)
