@@ -8,12 +8,13 @@ one certificate (``negtype.gap.certify``) that every analysis of it reads.
 Ultrametric structure comes from one O(n^2) minimum spanning tree pass,
 ``_spanning_tree``: the strong-triangle test and the graph minimax distances
 read its subdominant ultrametric, and the decomposition and the coteries in
-``negtype.ultrametric`` read its edges, the path of Prim's order, which joins
-the same classes at every height as a minimum spanning tree (Gower and Ross,
-1969). Each space runs that pass at most once and caches the result; a space
-built from a graph (by ``ultrametric_from_graph``, the one function that
-reads a graph) keeps the edges of the pass that computed its minimax
-distances, and runs none of its own.
+``negtype.ultrametric`` read its edges, the path of Prim's order, once and
+in that order: each class of "closer than t" is a run of the path (Gower
+and Ross, 1969). Each space runs that pass at most once and caches the
+result. ``validate_metric`` hands the space the result of the pass that its
+validation ran, and a space built from a graph (by ``ultrametric_from_graph``,
+the one function that reads a graph) keeps the edges of the pass that
+computed its minimax distances; neither runs one of its own.
 
 Validation costs O(n^2) when d is within ``METRIC_RTOL * diameter`` of its
 subdominant ultrametric, and O(n^3) otherwise. The subdominant only copies
@@ -76,13 +77,10 @@ class FiniteMetricSpace:
 
     @cached_property
     def _ultrametric(self) -> tuple[list[tuple[float, int, int]], float, float]:
-        """Spanning tree edges, the largest excess of d over its subdominant
-        ultrametric, and the limit ``METRIC_RTOL * diameter`` on it. Computed
-        once, on first use; ``cached_property`` writes the instance
-        ``__dict__``, which the frozen dataclass allows."""
-        d = self.dist
-        edges, sub = _spanning_tree(d)
-        return edges, float(np.subtract(d, sub, out=sub).max()), METRIC_RTOL * float(d.max())
+        """``_ultrametric_fit`` of the matrix, computed once, on first use
+        unless the space was built with it; ``cached_property`` writes the
+        instance ``__dict__``, which the frozen dataclass allows."""
+        return _ultrametric_fit(self.dist)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,13 +132,14 @@ def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
     relative tolerance of ``METRIC_RTOL * diameter``. Errors name the
     offending indices. The triangle scan runs only when d is not within
     that tolerance of its subdominant ultrametric, which implies every
-    triangle (see the module docstring). The space holds its own copy of
-    the matrix.
+    triangle (see the module docstring). The matrix is validated as given;
+    the space holds its own copy, made last, and the ``_ultrametric_fit``
+    that validation computed.
     """
     labels = tuple(str(x) for x in labels)
     if len(set(labels)) != len(labels):
         raise LabelCollision("duplicate point labels")
-    d = np.array(raw_matrix, dtype=np.float64, order="C")  # the space owns its copy
+    d = np.asarray(raw_matrix, dtype=np.float64)
     n = len(labels)
     if d.ndim != 2 or d.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {d.shape}")
@@ -160,11 +159,9 @@ def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
         i, j = map(int, bad_off[0])
         raise NonpositiveOffDiagonal(i, j)
 
-    space = FiniteMetricSpace(labels=labels, dist=_freeze(d), n=n)
-    if n < 3:
-        return space
-    _, excess, tol = space._ultrametric
-    if excess > tol:
+    fit = _ultrametric_fit(d) if n >= 3 else None  # fewer points meet every triangle
+    if fit is not None and fit[1] > fit[2]:
+        tol = fit[2]
         # d[i,j] <= d[i,k] + d[k,j] for all triples, vectorized over (j, k) for
         # a block of rows i; d is exactly symmetric here, so d[k,j] == d[j,k].
         # A sum above the float range is an infinite slack, which holds.
@@ -176,6 +173,9 @@ def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
                 if slack.min() < -tol:
                     i, j, k = map(int, np.argwhere(slack < -tol)[0])
                     raise TriangleViolation(start + i, j, k)
+    space = FiniteMetricSpace(labels=labels, dist=_freeze(np.array(d, order="C")), n=n)
+    if fit is not None:
+        space.__dict__["_ultrametric"] = fit
     return space
 
 
@@ -192,13 +192,14 @@ def _powers(distances, p: float, headroom: float = 1.0) -> np.ndarray:
     the package, so each d^p equals its D_p entry bit for bit (a numpy scalar
     power or Python's ``**`` differs in the last bit on about 5 % of (d, p)).
     Raises ValueError when ``headroom * d^p`` overflows, or when the power of
-    a positive distance underflows to zero."""
+    a positive distance underflows to zero: distances are >= 0 and 0^p = 0,
+    so the powers then hold more zeros than the distances."""
     d = np.asarray(distances, dtype=np.float64)
     with np.errstate(over="ignore"):
         powers = d**p
     if not isfinite(headroom * float(powers.max(initial=0.0))):  # powers are >= 0
         raise ValueError(f"distance powers overflow at exponent {p}")
-    if (powers[d > 0.0] == 0.0).any():
+    if np.count_nonzero(powers == 0.0) > np.count_nonzero(d == 0.0):
         raise ValueError(f"distance powers underflow to zero at exponent {p}")
     return powers
 
@@ -233,6 +234,14 @@ def is_ultrametric(space: FiniteMetricSpace) -> bool:
     with that slack on every triple."""
     _, excess, limit = space._ultrametric
     return excess <= limit
+
+
+def _ultrametric_fit(d: np.ndarray) -> tuple[list[tuple[float, int, int]], float, float]:
+    """The path of ``_spanning_tree(d)``, the largest excess of d over its
+    subdominant ultrametric, taken in place, and the limit ``METRIC_RTOL *
+    diameter`` on it."""
+    edges, sub = _spanning_tree(d)
+    return edges, float(np.subtract(d, sub, out=sub).max()), METRIC_RTOL * float(d.max())
 
 
 def _spanning_tree(w: np.ndarray) -> tuple[list[tuple[float, int, int]], np.ndarray]:

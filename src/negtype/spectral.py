@@ -57,7 +57,8 @@ def sym_eigen(a, *, vectors: bool = True) -> Spectrum:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if a.size and float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * float(np.abs(a).max()):
+    # a - a.T is exactly antisymmetric, so its max is its largest |entry|
+    if a.size and float((a - a.T).max()) > SYMMETRY_RTOL * float(np.abs(a).max()):
         raise NotSymmetric("matrix is not symmetric within tolerance")
     try:
         if vectors:

@@ -223,8 +223,8 @@ class TestValidateMetric:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # n x n arrays: the space's copy and the subdominant, whose excess is
-        # taken in place; the graph's weights and its subdominant
+        # n x n arrays: the subdominant, whose excess is taken in place, then
+        # the space's copy; the graph's weights and its subdominant
         assert peak < 2.6 * (8 * n * n)
 
 
@@ -261,6 +261,26 @@ class TestPDistanceMatrix:
         first = p_distance_matrix(example78, 1.7).entries
         second = p_distance_matrix(example78, 1.7).entries
         assert np.array_equal(first, second)
+
+    def test_power_of_a_held_space_holds_one_n_by_n_array(self):
+        # the power, and the zero counts' boolean masks of n x n bytes; a
+        # float copy of the positive entries would add one more n x n array
+        n = 400
+        space = validate_metric([f"x{i}" for i in range(n)], random_dendrogram(np.random.default_rng(5), n))
+        tracemalloc.start()
+        try:
+            p_distance_matrix(space, 1.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * (8 * n * n)
+
+    def test_zero_distances_are_not_an_underflow(self):
+        # the diagonal's zeros stay zeros; a positive power that reaches 0 is refused
+        space = validate_metric(["a", "b"], [[0, 1e-200], [1e-200, 0]])
+        assert p_distance_matrix(space, 1.5).entries[0, 1] == 1e-300
+        with pytest.raises(ValueError, match="^distance powers underflow to zero at exponent 2.0$"):
+            p_distance_matrix(space, 2.0)
 
 
 def _pair(labels="ab"):

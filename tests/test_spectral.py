@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -53,6 +54,20 @@ def test_symmetry_limit_carries_the_unit():
         assert np.allclose(spec.eigenvalues, [-2.0 * scale, 2.0 * scale], rtol=1e-12, atol=0.0)
         with pytest.raises(NotSymmetric):
             sym_eigen(scale * np.array([[0.0, 1.0], [1.0 + 1e-9, 0.0]]))
+
+
+def test_symmetry_check_holds_one_n_by_n_temporary():
+    # a - a.T and |a| in turn; the absolute value of a - a.T would be a second
+    n = 320
+    a = np.random.default_rng(6).standard_normal((n, n))
+    a += a.T
+    tracemalloc.start()
+    try:
+        sym_eigen(a, vectors=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * (8 * n * n)
 
 
 def test_dimension_mismatch():
