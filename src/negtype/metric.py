@@ -10,11 +10,10 @@ Ultrametric structure comes from one O(n^2) minimum spanning tree pass,
 read its subdominant ultrametric, and the decomposition and the coteries in
 ``negtype.ultrametric`` read its edges, the path of Prim's order, once and
 in that order: each class of "closer than t" is a run of the path (Gower
-and Ross, 1969). Each space runs that pass at most once and caches the
-result. ``validate_metric`` hands the space the result of the pass that its
-validation ran, and a space built from a graph (by ``ultrametric_from_graph``,
-the one function that reads a graph) keeps the edges of the pass that
-computed its minimax distances; neither runs one of its own.
+and Ross, 1969). Every space is built with the fit of that pass, run once:
+``validate_metric`` passes in the one its validation ran, and a space built
+from a graph (by ``ultrametric_from_graph``, the one function that reads a
+graph) the edges of the pass that computed its minimax distances.
 
 Validation costs O(n^2) when d is within ``METRIC_RTOL * diameter`` of its
 subdominant ultrametric, and O(n^3) otherwise. The subdominant only copies
@@ -40,6 +39,7 @@ from .errors import (
     NonpositiveOffDiagonal,
     NonpositiveScale,
     NonzeroDiagonal,
+    NotUltrametric,
     ParseError,
     SinglePoint,
     TriangleViolation,
@@ -60,11 +60,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
-    """A labeled point set with a validated symmetric distance matrix."""
+    """A labeled point set with a validated symmetric distance matrix and
+    the ``_ultrametric_fit`` of that matrix."""
 
     labels: tuple[str, ...]
     dist: np.ndarray
     n: int
+    fit: tuple[list[tuple[float, int, int]], float, float]
 
     def restrict(self, indices: Sequence[int]) -> "FiniteMetricSpace":
         """Sub-space on the given point indices, in the given order."""
@@ -74,13 +76,6 @@ class FiniteMetricSpace:
 
     def __repr__(self) -> str:  # keep reprs short; matrices can be large
         return f"FiniteMetricSpace(n={self.n}, labels={list(self.labels)!r})"
-
-    @cached_property
-    def _ultrametric(self) -> tuple[list[tuple[float, int, int]], float, float]:
-        """``_ultrametric_fit`` of the matrix, computed once, on first use
-        unless the space was built with it; ``cached_property`` writes the
-        instance ``__dict__``, which the frozen dataclass allows."""
-        return _ultrametric_fit(self.dist)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,20 +122,22 @@ def _edge_fault(u: str, v: str, w: float) -> str | None:
 def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
     """Validate a raw square matrix as a metric and build the space.
 
-    Checks, in order: shape, exact symmetry, exact zero diagonal, strictly
-    positive off-diagonal entries, and the triangle inequality within a
-    relative tolerance of ``METRIC_RTOL * diameter``. Errors name the
-    offending indices. The triangle scan runs only when d is not within
-    that tolerance of its subdominant ultrametric, which implies every
-    triangle (see the module docstring). The matrix is validated as given;
-    the space holds its own copy, made last, and the ``_ultrametric_fit``
-    that validation computed.
+    Checks, in order: at least one point (n >= 1), shape, exact symmetry,
+    exact zero diagonal, strictly positive off-diagonal entries, and the
+    triangle inequality within a relative tolerance of ``METRIC_RTOL *
+    diameter``. Errors name the offending indices. The triangle scan runs
+    only when d is not within that tolerance of its subdominant ultrametric,
+    which implies every triangle (see the module docstring). The matrix is
+    validated as given; the space holds its own copy, made last, and the
+    ``_ultrametric_fit`` that validation computed.
     """
     labels = tuple(str(x) for x in labels)
     if len(set(labels)) != len(labels):
         raise LabelCollision("duplicate point labels")
     d = np.asarray(raw_matrix, dtype=np.float64)
     n = len(labels)
+    if not n:
+        raise ValueError("a metric space needs at least one point")
     if d.ndim != 2 or d.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {d.shape}")
     if not np.isfinite(d).all():
@@ -159,8 +156,8 @@ def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
         i, j = map(int, bad_off[0])
         raise NonpositiveOffDiagonal(i, j)
 
-    fit = _ultrametric_fit(d) if n >= 3 else None  # fewer points meet every triangle
-    if fit is not None and fit[1] > fit[2]:
+    fit = _ultrametric_fit(d)
+    if fit[1] > fit[2]:
         tol = fit[2]
         # d[i,j] <= d[i,k] + d[k,j] for all triples, vectorized over (j, k) for
         # a block of rows i; d is exactly symmetric here, so d[k,j] == d[j,k].
@@ -173,10 +170,7 @@ def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
                 if slack.min() < -tol:
                     i, j, k = map(int, np.argwhere(slack < -tol)[0])
                     raise TriangleViolation(start + i, j, k)
-    space = FiniteMetricSpace(labels=labels, dist=_freeze(np.array(d, order="C")), n=n)
-    if fit is not None:
-        space.__dict__["_ultrametric"] = fit
-    return space
+    return FiniteMetricSpace(labels=labels, dist=_freeze(np.array(d, order="C")), n=n, fit=fit)
 
 
 def _check_exponent(p: float) -> None:
@@ -232,8 +226,20 @@ def is_ultrametric(space: FiniteMetricSpace) -> bool:
     """Whether d exceeds its subdominant ultrametric nowhere by more than
     ``METRIC_RTOL * diameter``, which implies d(x, y) <= max(d(x, z), d(z, y))
     with that slack on every triple."""
-    _, excess, limit = space._ultrametric
+    _, excess, limit = space.fit
     return excess <= limit
+
+
+def _require_ultrametric(space: FiniteMetricSpace) -> list[tuple[float, int, int]]:
+    """The spanning tree edges of ``space``; raises ``NotUltrametric`` when d
+    exceeds its subdominant ultrametric by more than the limit."""
+    edges, excess, limit = space.fit
+    if excess > limit:
+        raise NotUltrametric(
+            "the space does not satisfy the strong triangle inequality: d exceeds its"
+            f" subdominant ultrametric by {excess:.3g}, limit {limit:.3g}"
+        )
+    return edges
 
 
 def _ultrametric_fit(d: np.ndarray) -> tuple[list[tuple[float, int, int]], float, float]:
@@ -326,17 +332,16 @@ def ultrametric_from_graph(
         i, j = index[u], index[v]
         w[i, j] = w[j, i] = min(weight, w[i, j])
     tree, sub = _spanning_tree(w)
-    # validate_metric would find nothing here, and the space's spanning tree
-    # cache is known exactly. sub is exactly symmetric with a zero diagonal;
-    # off the diagonal it copies weights, which are positive and finite
+    # validate_metric would find nothing here, and the space's fit is known
+    # exactly. sub is exactly symmetric with a zero diagonal; off the
+    # diagonal it copies weights, which are positive and finite
     # (_edge_fault; inf means no edge, and the pass raised DisconnectedGraph
     # unless it reached every vertex). sub is an ultrametric, and the pass only
     # copies and takes maxima, so sub is its own subdominant ultrametric with
     # an excess of exactly 0; each path edge weighs sub at its ends, so the path
     # joins at every height the classes of sub that a pass over sub would join.
-    space = FiniteMetricSpace(labels=labels, dist=_freeze(sub), n=n)
-    space.__dict__["_ultrametric"] = (tree, 0.0, METRIC_RTOL * float(sub.max()))
-    return space
+    fit = (tree, 0.0, METRIC_RTOL * float(sub.max()))
+    return FiniteMetricSpace(labels=labels, dist=_freeze(sub), n=n, fit=fit)
 
 
 # ------------------------------------------------------------- text formats ----

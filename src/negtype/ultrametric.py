@@ -19,12 +19,13 @@ from itertools import groupby
 import numpy as np
 
 from .bounds import gamma_discrete
-from .errors import NegativeEntry, NotSymmetric, NotUltrametric, SinglePoint
+from .errors import NegativeEntry, NotSymmetric, SinglePoint
 from .metric import (
     FiniteMetricSpace,
     PDistanceMatrix,
     _check_exponent,
     _powers,
+    _require_ultrametric,
     _spanning_tree,
 )
 from .glue import _bridge
@@ -119,18 +120,6 @@ class UltrametricTree:
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _require_ultrametric(space: FiniteMetricSpace) -> list[tuple[float, int, int]]:
-    """The spanning tree edges of ``space``; raises ``NotUltrametric`` when d
-    exceeds its subdominant ultrametric by more than the limit."""
-    edges, excess, limit = space._ultrametric
-    if excess > limit:
-        raise NotUltrametric(
-            "the space does not satisfy the strong triangle inequality: d exceeds its"
-            f" subdominant ultrametric by {excess:.3g}, limit {limit:.3g}"
-        )
-    return edges
 
 
 def decompose(space: FiniteMetricSpace, full_split: bool = False) -> UltrametricTree:

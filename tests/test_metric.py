@@ -17,6 +17,7 @@ from helpers import (
     brute_parse_matrix_text,
     brute_triangle_violation,
     caterpillar,
+    example_space,
     random_connected_graph,
     random_dendrogram,
     random_euclidean,
@@ -26,6 +27,7 @@ from helpers import (
 )
 from negtype import cli, metric
 from negtype import (
+    GlueSpec,
     asymptotic_gap_limit,
     certify,
     coteries,
@@ -33,6 +35,7 @@ from negtype import (
     discrete_space,
     gap_exact,
     gap_numeric_oracle,
+    glue_spaces,
     glued_hat_form,
     is_ultrametric,
     mp_ultrametric_properties,
@@ -123,9 +126,12 @@ class TestValidateMetric:
         space = validate_metric(["x"], [[0.0]])
         assert space.n == 1
 
-    def test_empty_matrix_is_valid(self):
-        # no triangle to check, so no spanning tree is built
-        assert validate_metric([], np.zeros((0, 0))).n == 0
+    def test_empty_space_is_refused(self, example78):
+        message = "^a metric space needs at least one point$"
+        with pytest.raises(ValueError, match=message):
+            validate_metric([], np.zeros((0, 0)))
+        with pytest.raises(ValueError, match=message):
+            example78.restrict([])
 
     def test_idempotent(self, example78):
         again = validate_metric(example78.labels, example78.dist)
@@ -314,6 +320,35 @@ def test_records_with_arrays_compare_and_hash_by_identity(name):
 
 def test_scalar_records_keep_value_equality():
     assert space_stats(_pair()) == space_stats(_pair())
+
+
+# every way to build a space from a matrix, and whether the result is an ultrametric
+CONSTRUCTIONS = {
+    "validate-1": (lambda: validate_metric("a", [[0]]), True),
+    "validate-2": (_pair, True),
+    "validate-3-ultrametric": (lambda: validate_metric("abc", [[0, 1, 2], [1, 0, 2], [2, 2, 0]]), True),
+    "validate-3-line": (lambda: validate_metric("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]]), False),
+    "restrict": (lambda: example_space().restrict([6, 0, 3, 2]), True),
+    "scale_space": (lambda: scale_space(validate_metric("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]]), 2.5),
+                    False),
+    "discrete_space": (lambda: discrete_space(4, 3.0), True),
+    "glue_spaces": (lambda: glue_spaces(GlueSpec(_pair("ab"), _pair("cd"), 2.0)), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS))
+def test_every_space_is_built_with_the_fit_of_its_matrix(name):
+    build, ultrametric = CONSTRUCTIONS[name]
+    space = build()
+    assert space.fit == metric._ultrametric_fit(space.dist)
+    assert is_ultrametric(space) == ultrametric
+
+
+def test_graph_space_is_built_with_the_fit_of_its_matrix():
+    # the graph's own pass gives the path that a pass over its matrix gives
+    space = ultrametric_from_graph(EXAMPLE_EDGES)
+    assert space.fit[1] == 0.0
+    assert space.fit == metric._ultrametric_fit(space.dist)
 
 
 class TestDiscreteAndScale:

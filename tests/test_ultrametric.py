@@ -46,7 +46,7 @@ from negtype.errors import (
     NotUltrametric,
     SinglePoint,
 )
-from negtype.metric import _spanning_tree
+from negtype.metric import _spanning_tree, _ultrametric_fit
 
 
 def dp_of(space, p=1.0):
@@ -262,7 +262,7 @@ class TestDecompose:
             for j in range(i + 1, 6):
                 d[i, j] = d[j, i] = max(keys[i:j])
         space = validate_metric([f"x{i}" for i in range(6)], d)
-        assert [(h, prev, v) for h, prev, v in space._ultrametric[0]] == [
+        assert [(h, prev, v) for h, prev, v in space.fit[0]] == [
             (3.0, 0, 1), (1.0, 1, 2), (2.0, 2, 3), (1.0, 3, 4), (3.0, 4, 5)
         ]
         tree = decompose(space)
@@ -302,9 +302,9 @@ class TestDecompose:
     def test_large_tree_memory_stays_quadratic(self):
         n = 2000
         d = random_dendrogram(np.random.default_rng(2), n)
-        space = FiniteMetricSpace(tuple(f"x{i + 1}" for i in range(n)), d, n)
         tracemalloc.start()
         try:
+            space = FiniteMetricSpace(tuple(f"x{i + 1}" for i in range(n)), d, n, _ultrametric_fit(d))
             ultrametric = is_ultrametric(space)
             tree = decompose(space)
             cots = coteries(space)
@@ -539,8 +539,8 @@ class TestCoteries:
             dtype=float,
         )
         space = validate_metric([f"x{i}" for i in range(5)], d)
-        assert [h for h, _, _ in space._ultrametric[0]] == [2.0, 1.0, 3.0, 1.0]
-        assert [v for _, _, v in space._ultrametric[0]] == [3, 4, 1, 2]
+        assert [h for h, _, _ in space.fit[0]] == [2.0, 1.0, 3.0, 1.0]
+        assert [v for _, _, v in space.fit[0]] == [3, 4, 1, 2]
         result = coteries(space)
         assert result.alpha == 1.0 and result.e == 2
         assert result.coteries == (("x1", "x2"), ("x3", "x4"))
