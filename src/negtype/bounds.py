@@ -141,11 +141,11 @@ def xi_enlargement(dp: PDistanceMatrix, gamma: float) -> XiResult:
     diameter**p is the largest entry of D_p. The gap and diameter**p share
     the unit d^p, so xi does not depend on the unit of distance. A distance
     ratio of one (all distances equal) makes the interval unbounded. A zero
-    gap gives a zero-length interval; negative gaps are rejected.
+    gap gives a zero-length interval; negative gaps and NaN are rejected.
     """
     if dp.n < 3:
         raise TooFewPoints("the enlargement formula needs at least three points")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ZeroGap(f"gap must be nonnegative, got {gamma}")
     stats = space_stats(dp.source)
     g_xi = gamma_xi(dp.n)

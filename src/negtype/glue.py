@@ -224,8 +224,12 @@ def glue_gap_bounds(
     Single points contribute zero reciprocal (their gap is unbounded). When
     both components are single points the upper side is unbounded and the
     result is flagged as outside the theorem's hypothesis; the lower side is
-    still valid.
+    still valid. Raises ValueError for a component gap that is not > 0, NaN
+    included; a single point's gap, inf, is one.
     """
+    for name, gamma in (("gamma_left", gamma_left), ("gamma_right", gamma_right)):
+        if not gamma > 0:
+            raise ValueError(f"{name} must be positive, got {gamma}")
     margin = _strict_margin(glue_type_condition(spec, p))
     # certified again: cmd_glue keeps the 9 certify calls that bench/test_bench.py pins
     u1_norm, u2_norm = (

@@ -38,12 +38,15 @@ def strictly_ultrametric_check(a) -> bool:
 
     Off the diagonal the first condition says that ``-a`` is an ultrametric,
     i.e. equals its subdominant ultrametric. That matrix only copies entries,
-    so the comparison is exact; inputs are constructed, not parsed.
+    so the comparison is exact; inputs are constructed, not parsed. Raises
+    ValueError for a matrix that is not square or has no rows.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
+    if not n:
+        raise ValueError("expected a nonempty matrix, got shape (0, 0)")
     if (a != a.T).any():
         raise NotSymmetric("matrix is not exactly symmetric")
     if (a < 0).any():

@@ -216,6 +216,10 @@ class TestXi:
         with pytest.raises(ZeroGap):
             xi_enlargement(dp_of(example78), -0.1)
 
+    def test_nan_gap_rejected(self, example78):
+        with pytest.raises(ZeroGap, match="^gap must be nonnegative, got nan$"):
+            xi_enlargement(dp_of(example78), float("nan"))
+
 
 class TestAveragingIdentity:
     def test_all_ones_minus_identity_n4(self):

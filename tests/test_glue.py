@@ -369,6 +369,22 @@ class TestGlueGapBounds:
         exact = gap_exact(dp_of(glue_spaces(spec))).gamma
         assert exact == pytest.approx(1.0, abs=1e-12)  # lower bound tight
 
+    @pytest.mark.parametrize(
+        "gammas, name, value",
+        [
+            pytest.param((float("nan"), 1.0), "gamma_left", "nan", id="nan"),
+            pytest.param((1.0, float("nan")), "gamma_right", "nan", id="nan-right"),
+            pytest.param((-1.0, 1.0), "gamma_left", "-1.0", id="negative"),
+            pytest.param((1.0, 0.0), "gamma_right", "0.0", id="zero"),
+            pytest.param((-inf, inf), "gamma_left", "-inf", id="minus-inf"),
+        ],
+    )
+    def test_refuses_component_gaps_that_are_not_gaps(self, pair_x2, gammas, name, value):
+        left, right = pair_x2
+        spec = GlueSpec(left=left, right=right, c=2.0)
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
+            glue_gap_bounds(spec, 1.0, *gammas)
+
     def test_containment_on_random_pairs(self):
         for spec, p in random_glue_pairs(25, seed=99):
             gamma_left = gap_exact(dp_of(spec.left, p)).gamma

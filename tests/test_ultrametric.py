@@ -132,6 +132,10 @@ class TestStrictlyUltrametricCheck:
             with pytest.raises(ValueError, match="expected a square matrix"):
                 strictly_ultrametric_check(a)
 
+    def test_empty_matrix_is_refused(self):
+        with pytest.raises(ValueError, match=r"^expected a nonempty matrix, got shape \(0, 0\)$"):
+            strictly_ultrametric_check(np.zeros((0, 0)))
+
     def test_matches_detour_oracle(self, corpus):
         rng = np.random.default_rng(9)
         matrices = []
