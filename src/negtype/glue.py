@@ -225,7 +225,7 @@ def glue_gap_bounds(
     both components are single points the upper side is unbounded and the
     result is flagged as outside the theorem's hypothesis; the lower side is
     still valid. Raises ValueError for a component gap that is not > 0, NaN
-    included; a single point's gap, inf, is one.
+    included; inf, the gap of a single point, is accepted.
     """
     for name, gamma in (("gamma_left", gamma_left), ("gamma_right", gamma_right)):
         if not gamma > 0:

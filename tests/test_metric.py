@@ -322,15 +322,17 @@ def test_scalar_records_keep_value_equality():
     assert space_stats(_pair()) == space_stats(_pair())
 
 
+ULTRA3 = [[0, 1, 2], [1, 0, 2], [2, 2, 0]]
+LINE3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+
 # every way to build a space from a matrix, and whether the result is an ultrametric
 CONSTRUCTIONS = {
     "validate-1": (lambda: validate_metric("a", [[0]]), True),
     "validate-2": (_pair, True),
-    "validate-3-ultrametric": (lambda: validate_metric("abc", [[0, 1, 2], [1, 0, 2], [2, 2, 0]]), True),
-    "validate-3-line": (lambda: validate_metric("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]]), False),
+    "validate-3-ultrametric": (lambda: validate_metric("abc", ULTRA3), True),
+    "validate-3-line": (lambda: validate_metric("abc", LINE3), False),
     "restrict": (lambda: example_space().restrict([6, 0, 3, 2]), True),
-    "scale_space": (lambda: scale_space(validate_metric("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]]), 2.5),
-                    False),
+    "scale_space": (lambda: scale_space(validate_metric("abc", LINE3), 2.5), False),
     "discrete_space": (lambda: discrete_space(4, 3.0), True),
     "glue_spaces": (lambda: glue_spaces(GlueSpec(_pair("ab"), _pair("cd"), 2.0)), True),
 }

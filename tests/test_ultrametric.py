@@ -308,7 +308,8 @@ class TestDecompose:
         d = random_dendrogram(np.random.default_rng(2), n)
         tracemalloc.start()
         try:
-            space = FiniteMetricSpace(tuple(f"x{i + 1}" for i in range(n)), d, n, _ultrametric_fit(d))
+            labels = tuple(f"x{i + 1}" for i in range(n))
+            space = FiniteMetricSpace(labels, d, n, _ultrametric_fit(d))
             ultrametric = is_ultrametric(space)
             tree = decompose(space)
             cots = coteries(space)
