@@ -15,13 +15,7 @@ from math import inf, isinf, ldexp, log
 
 import numpy as np
 
-from .errors import (
-    NonzeroDiagonal,
-    NotStrict,
-    TooFewPoints,
-    TooManyPoints,
-    ZeroGap,
-)
+from .errors import NonzeroDiagonal, NotStrict, TooFewPoints, TooManyPoints
 from .metric import PDistanceMatrix, space_stats
 
 #: Row sums are considered constant when their spread is below this, relatively.
@@ -146,7 +140,7 @@ def xi_enlargement(dp: PDistanceMatrix, gamma: float) -> XiResult:
     if dp.n < 3:
         raise TooFewPoints("the enlargement formula needs at least three points")
     if not gamma >= 0:
-        raise ZeroGap(f"gap must be nonnegative, got {gamma}")
+        raise ValueError(f"gap must be nonnegative, got {gamma}")
     stats = space_stats(dp.source)
     g_xi = gamma_xi(dp.n)
     if stats.ratio == 1.0:

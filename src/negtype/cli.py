@@ -304,7 +304,6 @@ def _render_glue(report: dict, out) -> None:
 
 
 def cmd_ultra(args) -> tuple[dict, int]:
-    _check_exponent(args.p)  # before the file is read; every report echoes p
     space = _load_ultra_space(args.file)
     if not is_ultrametric(space):
         raise NegTypeError("input space is not ultrametric")
@@ -464,6 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.cap < 1:
             raise ValueError(f"--cap must be at least 1, got {args.cap}")
+        _check_exponent(args.p)  # before any file is read; every report echoes p
         started = time.perf_counter()
         with _one_blas_thread():
             report, exit_code = handler(args)

@@ -1,11 +1,15 @@
 """Exception hierarchy shared across the package.
 
 The package's own exceptions derive from :class:`NegTypeError`, so callers
-can catch the whole family at once. Invalid input raises a ``NegTypeError``
-subclass or a ``ValueError`` (a wrong shape, a non-finite entry, a power or
-an eigenvalue out of the float range, an argument below its least value),
-and the CLI maps both to exit 1; :class:`ToleranceFailure`, a failed
-internal numerical self-check, maps to exit 3.
+can catch the whole family at once. One rule picks the type of a refusal:
+an argument value outside its domain raises ``ValueError`` (an exponent,
+scale, bridge distance or gap that is not positive and finite, a count
+below its least value, a wrong shape, a non-finite entry, a power or an
+eigenvalue out of the float range), and a condition of a space or a matrix
+raises the one ``NegTypeError`` subclass below that names it (too few or
+too many points, not strict, not ultrametric, ...). The CLI maps both to
+exit 1; :class:`ToleranceFailure`, a failed internal numerical self-check,
+maps to exit 3.
 """
 
 from __future__ import annotations
@@ -45,19 +49,7 @@ class TriangleViolation(NegTypeError):
         )
 
 
-class NonpositiveExponent(NegTypeError):
-    pass
-
-
-class NonpositiveScale(NegTypeError):
-    pass
-
-
 class DisconnectedGraph(NegTypeError):
-    pass
-
-
-class SinglePoint(NegTypeError):
     pass
 
 
@@ -68,10 +60,6 @@ class NotSymmetric(NegTypeError):
 
 
 class NoConvergence(NegTypeError):
-    pass
-
-
-class DimensionMismatch(NegTypeError):
     pass
 
 
@@ -101,10 +89,6 @@ class TooFewPoints(NegTypeError):
     pass
 
 
-class ZeroGap(NegTypeError):
-    pass
-
-
 # ------------------------------------------------------------------ glue ----
 
 class BridgeTooShort(NegTypeError):
@@ -115,10 +99,6 @@ class LabelCollision(NegTypeError):
     pass
 
 
-class ComponentNotStrict(NegTypeError):
-    pass
-
-
 class BoundaryOrWorse(NegTypeError):
     pass
 
@@ -126,10 +106,6 @@ class BoundaryOrWorse(NegTypeError):
 # ----------------------------------------------------------- ultrametric ----
 
 class NotUltrametric(NegTypeError):
-    pass
-
-
-class NegativeEntry(NegTypeError):
     pass
 
 

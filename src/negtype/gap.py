@@ -42,6 +42,10 @@ from .errors import (
 from .metric import PDistanceMatrix, is_ultrametric
 
 DEFAULT_ENUMERATION_CAP = 24
+# no cap enumerates more points: the tables of _sign_maximum grow 4x every two
+# points, a traced peak of 2.3 MiB at n = 24, 35 MiB at 28 and 140 MiB at 30
+# (Gaussian points, p = 1), and _sign_patterns(26) alone is 13 GiB at n = 40
+ENUMERATION_CEILING = 30
 CONTAINMENT_RTOL = 1e-9  # relative slack of every check that an exact gap lies in its bounds
 
 _DIRECT_POINTS = 12  # up to this n, one product of all sign vectors beats the tables
@@ -392,7 +396,8 @@ def gap_exact(dp: PDistanceMatrix, cap: int = DEFAULT_ENUMERATION_CAP) -> GapRes
     beta is evaluated, so no result depends on the blocking or the pruning
     (see _sign_maximum). ``evaluated`` counts the sign vectors whose value was
     computed. Non-strict spaces of negative type report exactly 0; single
-    points are unbounded. a = e_x - e_y gives gamma <= d(x, y)^p, so a gamma
+    points are unbounded. More than ``min(cap, ENUMERATION_CEILING)`` points
+    raise TooManyPoints. a = e_x - e_y gives gamma <= d(x, y)^p, so a gamma
     outside the definition bound [0, min(min d^p, ``upper_bound_mean``)]
     (``_check_containment``) comes from an inaccurate hat matrix and raises
     ToleranceFailure for every caller.
@@ -405,6 +410,7 @@ def gap_exact(dp: PDistanceMatrix, cap: int = DEFAULT_ENUMERATION_CAP) -> GapRes
         raise NotNegativeType("the gap is defined only for p-negative type spaces")
     if cert.classification is Classification.NEGATIVE_TYPE_NON_STRICT:
         return GapResult(gamma=0.0, beta=inf, z_star=None, method=GapMethod.DEFINITION_ZERO)
+    cap = min(cap, ENUMERATION_CEILING)
     if n > cap:
         raise TooManyPoints(n, cap)
 

@@ -18,12 +18,7 @@ from math import inf
 import numpy as np
 
 from . import gap as gap_mod
-from .errors import (
-    BoundaryOrWorse,
-    BridgeTooShort,
-    ComponentNotStrict,
-    LabelCollision,
-)
+from .errors import BoundaryOrWorse, BridgeTooShort, LabelCollision, NotStrict
 from .metric import (
     FiniteMetricSpace,
     PDistanceMatrix,
@@ -46,9 +41,9 @@ class GlueSpec:
 
     def __post_init__(self):
         if not self.c > 0:
-            raise BridgeTooShort(f"bridge distance must be positive, got {self.c}")
+            raise ValueError(f"bridge distance must be positive, got {self.c}")
         if self.c == inf:
-            raise BridgeTooShort(f"bridge distance must be finite, got {self.c}")
+            raise ValueError(f"bridge distance must be finite, got {self.c}")
         max_diam = max(float(self.left.dist.max()), float(self.right.dist.max()))
         if 2.0 * self.c < max_diam:
             raise BridgeTooShort(
@@ -119,7 +114,7 @@ def _classify(dp1: PDistanceMatrix, dp2: PDistanceMatrix, c: float) -> GlueTypeR
     cert1, cert2 = dp1.certificate, dp2.certificate
     for side, cert in (("left", cert1), ("right", cert2)):
         if not cert.strict:
-            raise ComponentNotStrict(f"{side} component is not of strict p-negative type")
+            raise NotStrict(f"{side} component is not of strict p-negative type")
     [c_p] = _powers([c], p, headroom=2.0).tolist()
     margin = 2.0 * c_p - cert1.m_p - cert2.m_p
     tol = ZERO_TOL_FACTOR * 2.0 * c_p  # the margin's own unit, d^p

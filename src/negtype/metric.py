@@ -35,13 +35,11 @@ from .errors import (
     AsymmetricMatrix,
     DisconnectedGraph,
     LabelCollision,
-    NonpositiveExponent,
     NonpositiveOffDiagonal,
-    NonpositiveScale,
     NonzeroDiagonal,
     NotUltrametric,
     ParseError,
-    SinglePoint,
+    TooFewPoints,
     TriangleViolation,
 )
 
@@ -176,7 +174,7 @@ def validate_metric(labels: Iterable[str], raw_matrix) -> FiniteMetricSpace:
 def _check_exponent(p: float) -> None:
     """Reject an exponent that is not > 0 (NaN included) or not finite."""
     if not p > 0:
-        raise NonpositiveExponent(f"exponent must be positive, got {p}")
+        raise ValueError(f"exponent must be positive, got {p}")
     if p == inf:
         raise ValueError(f"exponent must be finite, got {p}")
 
@@ -209,7 +207,7 @@ def discrete_space(n: int, scale: float = 1.0) -> FiniteMetricSpace:
     if n < 1:
         raise ValueError(f"need at least one point, got {n}")
     if not scale > 0:
-        raise NonpositiveScale(f"scale must be positive, got {scale}")
+        raise ValueError(f"scale must be positive, got {scale}")
     d = np.full((n, n), float(scale))
     np.fill_diagonal(d, 0.0)
     return validate_metric([f"x{i + 1}" for i in range(n)], d)
@@ -218,7 +216,7 @@ def discrete_space(n: int, scale: float = 1.0) -> FiniteMetricSpace:
 def scale_space(space: FiniteMetricSpace, alpha: float) -> FiniteMetricSpace:
     """The space with every distance multiplied by ``alpha`` (> 0)."""
     if not alpha > 0:
-        raise NonpositiveScale(f"scale must be positive, got {alpha}")
+        raise ValueError(f"scale must be positive, got {alpha}")
     return validate_metric(space.labels, space.dist * float(alpha))
 
 
@@ -293,7 +291,7 @@ def _spanning_tree(w: np.ndarray) -> tuple[list[tuple[float, int, int]], np.ndar
 def space_stats(space: FiniteMetricSpace) -> SpaceStats:
     """Diameter, minimum nonzero distance, and their ratio."""
     if space.n < 2:
-        raise SinglePoint("statistics are undefined for a single point")
+        raise TooFewPoints("statistics are undefined for a single point")
     off = space.dist[~np.eye(space.n, dtype=bool)]
     diameter = float(off.max())
     min_positive = float(off.min())

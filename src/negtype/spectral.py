@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotSymmetric, ToleranceFailure
+from .errors import NoConvergence, NotSymmetric, ToleranceFailure
 
 #: Relative asymmetry accepted by sym_eigen.
 SYMMETRY_RTOL = 1e-12
@@ -56,7 +56,7 @@ def sym_eigen(a, *, vectors: bool = True) -> Spectrum:
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     # a - a.T is exactly antisymmetric, so its max is its largest |entry|
     if a.size and float((a - a.T).max()) > SYMMETRY_RTOL * float(np.abs(a).max()):
         raise NotSymmetric("matrix is not symmetric within tolerance")

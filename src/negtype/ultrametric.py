@@ -19,7 +19,7 @@ from itertools import groupby
 import numpy as np
 
 from .bounds import gamma_discrete
-from .errors import NegativeEntry, NotSymmetric, SinglePoint
+from .errors import NotSymmetric, TooFewPoints
 from .metric import (
     FiniteMetricSpace,
     PDistanceMatrix,
@@ -39,7 +39,8 @@ def strictly_ultrametric_check(a) -> bool:
     Off the diagonal the first condition says that ``-a`` is an ultrametric,
     i.e. equals its subdominant ultrametric. That matrix only copies entries,
     so the comparison is exact; inputs are constructed, not parsed. Raises
-    ValueError for a matrix that is not square or has no rows.
+    ValueError for a matrix that is not square, has no rows or has a
+    negative entry.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -50,7 +51,7 @@ def strictly_ultrametric_check(a) -> bool:
     if (a != a.T).any():
         raise NotSymmetric("matrix is not exactly symmetric")
     if (a < 0).any():
-        raise NegativeEntry("matrix has a negative entry")
+        raise ValueError("matrix has a negative entry")
     w = -a
     np.fill_diagonal(w, 0.0)
     if not (_spanning_tree(w)[1] == w).all():
@@ -247,7 +248,7 @@ def recursive_gap_bounds(
     """
     _check_exponent(p)
     if space.n < 2:
-        raise SinglePoint("gap bounds need at least two points")
+        raise TooFewPoints("gap bounds need at least two points")
     nodes = list(decompose(space, full_split=full_split).walk())
     powers = _powers([node.split_distance for node in nodes], p, headroom=2.0).tolist()
     m_p: list[float] = []  # a stack: in reversed pre-order a node follows its subtrees
@@ -295,7 +296,7 @@ def coteries(space: FiniteMetricSpace) -> CoterieSet:
     their smallest index.
     """
     if space.n < 2:
-        raise SinglePoint("coteries need at least two points")
+        raise TooFewPoints("coteries need at least two points")
     path = _require_ultrametric(space)
     alpha = min(h for h, _, _ in path)
     runs = [list(run) for low, run in groupby(path, key=lambda edge: edge[0] == alpha) if low]
@@ -335,7 +336,7 @@ def mp_ultrametric_properties(dp: PDistanceMatrix) -> UltrametricDiagnostics:
     """
     _require_ultrametric(dp.source)
     if dp.n < 2:
-        raise SinglePoint("diagnostics need at least two points")
+        raise TooFewPoints("diagnostics need at least two points")
     cert = dp.certificate
     b, m_p = cert.b, cert.m_p
     bound = (dp.n - 1) / dp.n * float(dp.entries.max())

@@ -783,6 +783,44 @@ def test_cap_below_one_is_rejected_before_loading(capsys, tmp_path, argv, cap):
 
 
 @pytest.mark.parametrize(
+    "p, error",
+    [("0", "positive, got 0.0"), ("-1", "positive, got -1.0"), ("nan", "positive, got nan"),
+     ("inf", "finite, got inf")],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "missing.txt"], ["glue", "missing.txt", "other.txt", "--c", "1"]],
+    ids=["analyze", "glue"],
+)
+def test_bad_exponent_is_rejected_before_loading(capsys, tmp_path, argv, p, error):
+    # the files do not exist: the exponent is checked first, as ultra does
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+    code, out, err = run(capsys, *argv, "--p", p)
+    assert (code, out) == (1, "")
+    assert err == f"error: exponent must be {error}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, space",
+    [(["analyze"], random_euclidean(np.random.default_rng(40), 40)),
+     (["ultra", "bounds"], random_ultrametric(np.random.default_rng(31), 31))],
+    ids=["analyze-40", "ultra-bounds-31"],
+)
+def test_cap_above_the_ceiling_exits_one(capsys, monkeypatch, tmp_path, argv, space):
+    # analyze of 40 points with --cap 40 asked for 13 GiB of sign tables
+    def enumerates(hat):
+        raise AssertionError(f"enumerated {hat.shape[0]} points")
+
+    monkeypatch.setattr(gap, "_sign_maximum", enumerates)
+    path = tmp_path / "space.txt"
+    rows = "\n".join(" ".join(repr(float(x)) for x in row) for row in space.dist)
+    path.write_text(f"{space.n}\n{rows}\n", encoding="utf-8")
+    code, out, err = run(capsys, *argv, path, "--cap", "40")
+    assert (code, out) == (1, "")
+    assert err == f"error: {space.n} points exceeds the enumeration cap of 30\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [["analyze", "{}"], ["ultra", "bounds", "{}"],
      *(["glue", "{}", "x2_cd.txt", "--c", c] for c in ("1", "5", "100"))],

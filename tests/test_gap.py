@@ -595,6 +595,18 @@ class TestGapExact:
         with pytest.raises(TooManyPoints):
             gap_exact(dp_of(example78), cap=5)
 
+    @pytest.mark.parametrize("n, cap", [(31, 31), (31, 40), (40, 40), (40, 10**6)])
+    def test_no_cap_enumerates_beyond_the_ceiling(self, monkeypatch, n, cap):
+        # at n = 40 the tables of the enumeration would hold 13 GiB
+        def enumerates(hat):
+            raise AssertionError(f"enumerated {hat.shape[0]} points")
+
+        monkeypatch.setattr(gap, "_sign_maximum", enumerates)
+        with pytest.raises(TooManyPoints, match=f"^{n} points exceeds the enumeration cap of 30$"):
+            gap_exact(dp_of(discrete_space(n)), cap=cap)
+        with pytest.raises(AssertionError, match="^enumerated 30 points$"):
+            gap_exact(dp_of(discrete_space(30)), cap=cap)
+
     def test_every_sign_vector_bounds_gamma(self):
         rng = np.random.default_rng(23)
         space = random_ultrametric(rng, 7)

@@ -53,12 +53,10 @@ from negtype.errors import (
     AsymmetricMatrix,
     DisconnectedGraph,
     LabelCollision,
-    NonpositiveExponent,
     NonpositiveOffDiagonal,
-    NonpositiveScale,
     NonzeroDiagonal,
     ParseError,
-    SinglePoint,
+    TooFewPoints,
     TriangleViolation,
 )
 
@@ -250,13 +248,13 @@ class TestPDistanceMatrix:
         assert np.array_equal(dp.entries, EXAMPLE_MATRIX)
 
     def test_nonpositive_exponent(self, example78):
-        with pytest.raises(NonpositiveExponent):
+        with pytest.raises(ValueError, match="^exponent must be positive, got 0.0$"):
             p_distance_matrix(example78, 0.0)
 
     def test_infinite_exponent_rejected(self, example78):
         with pytest.raises(ValueError, match="^exponent must be finite, got inf$"):
             p_distance_matrix(example78, float("inf"))
-        with pytest.raises(NonpositiveExponent, match="^exponent must be positive, got -inf$"):
+        with pytest.raises(ValueError, match="^exponent must be positive, got -inf$"):
             p_distance_matrix(example78, float("-inf"))
 
     def test_overflowing_exponent_rejected(self, example78):
@@ -378,10 +376,10 @@ class TestDiscreteAndScale:
         assert (space.dist[~np.eye(3, dtype=bool)] == 0.5).all()
 
     def test_nonpositive_scale(self, example78):
-        with pytest.raises(NonpositiveScale):
+        with pytest.raises(ValueError, match="^scale must be positive, got -1.0$"):
             scale_space(example78, -1.0)
         for scale in (0.0, -1.0, float("nan")):
-            with pytest.raises(NonpositiveScale, match="scale must be positive"):
+            with pytest.raises(ValueError, match="scale must be positive"):
                 discrete_space(3, scale)
 
     def test_discrete_needs_a_point(self):
@@ -451,7 +449,7 @@ class TestSpaceStats:
         assert (stats.diameter, stats.min_positive, stats.ratio) == (2.0, 2.0, 1.0)
 
     def test_single_point(self):
-        with pytest.raises(SinglePoint):
+        with pytest.raises(TooFewPoints):
             space_stats(validate_metric(["x"], [[0.0]]))
 
 

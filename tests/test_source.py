@@ -245,3 +245,42 @@ def test_every_private_name_is_read():
         for name in private_definitions(source) - read
     )
     assert unread == []
+
+
+def raised_names(source: str) -> set[str]:
+    """The names that a source raises: ``raise X``, ``raise X(...)`` and
+    ``raise module.X(...)``."""
+    raised = set()
+    for node in ast.walk(ast.parse(source)):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        if isinstance(exc, ast.Call):
+            exc = exc.func
+        if isinstance(exc, ast.Name):
+            raised.add(exc.id)
+        elif isinstance(exc, ast.Attribute):
+            raised.add(exc.attr)
+    return raised
+
+
+def test_raised_names_are_found():
+    source = (
+        "from . import errors\n"
+        "def f(x):\n"
+        "    if x:\n        raise ValueError(f'x {x}')\n"
+        "    try:\n        g(x)\n    except KeyError:\n        raise\n"
+        "    if x is None:\n        raise errors.NotStrict('no') from None\n"
+        "    raise StopIteration\n"
+        "class Unused(Exception):\n    pass\n"
+    )
+    assert raised_names(source) == {"ValueError", "NotStrict", "StopIteration"}
+
+
+def test_every_error_class_is_raised():
+    # a class that a merge of two refusals leaves behind is raised nowhere
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set().union(
+        *(raised_names(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py"))
+    )
+    assert len(defined) >= 10
+    assert sorted(defined - raised - {"NegTypeError"}) == []
